@@ -389,6 +389,10 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 	return db, armError("profile", key, err)
 }
 
+// biasOnly is the recorder of a bias-only profile: it counts each branch's
+// executions and taken outcomes, and the stream's instructions. It takes
+// events one at a time or in blocks, so a batch-mode replay engine captures
+// through it without the per-event tee.
 type biasOnly struct {
 	db    *profile.DB
 	instr uint64
@@ -400,6 +404,15 @@ func (b *biasOnly) Branch(pc uint64, taken bool) {
 }
 
 func (b *biasOnly) Ops(n uint64) { b.instr += n }
+
+// RunBlock implements trace.BlockSink.
+func (b *biasOnly) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
+	taken, ops = taken[:len(pcs)], ops[:len(pcs)]
+	for i, pc := range pcs {
+		b.instr += ops[i] + 1
+		b.db.Record(pc, taken[i])
+	}
+}
 
 // Arm describes one measured configuration.
 type Arm struct {

@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"branchsim/internal/obs"
 	"branchsim/internal/replay"
 	"branchsim/internal/sim"
 	"branchsim/internal/trace"
@@ -112,5 +114,67 @@ func TestHarnessReplayImprovement(t *testing.T) {
 	}
 	if want != got {
 		t.Errorf("improvement with replay = %v, direct = %v", got, want)
+	}
+}
+
+// TestBatchReplayNeverDecodesCachedChunks pins the decode-once property of
+// batch-mode replay: every capture whose recorder consumes blocks — the
+// bias-only profiler of a static95 arm included — fills the decoded-block
+// cache, so the arms replaying it afterwards (plain, Static_Acc with its
+// accuracy profile, a predictor without a native kernel) are fed from the
+// cache and no chunk is ever decoded from its encoded bytes.
+func TestBatchReplayNeverDecodesCachedChunks(t *testing.T) {
+	sink := obs.New()
+	h := NewQuickHarness(WithObserver(sink), WithWorkers(2))
+	defer h.Close()
+	ctx := context.Background()
+	for _, a := range []Arm{
+		{Workload: "compress", Pred: "gshare:8KB", Scheme: "static95"}, // captures in its bias-only profile
+		{Workload: "compress", Pred: "gshare:8KB", Scheme: "none"},
+		{Workload: "compress", Pred: "gshare:8KB", Scheme: "staticacc"},
+		{Workload: "compress", Pred: "tage:8KB", Scheme: "none"},
+	} {
+		if _, err := h.Run(ctx, a); err != nil {
+			t.Fatalf("%v: %v", a, err)
+		}
+	}
+	if n := sink.Counter(obs.MReplayCaptures).Value(); n != 1 {
+		t.Fatalf("%d captures, want 1", n)
+	}
+	if sink.Counter(obs.MReplayChunksReplayed).Value() == 0 {
+		t.Fatal("no chunk was replayed")
+	}
+	if n := sink.Histogram(obs.MReplayChunkDecode).Count(); n != 0 {
+		t.Errorf("replays decoded %d chunks; want every chunk served from the decoded cache", n)
+	}
+}
+
+// TestBiasProfileBlockPathMatchesDirect checks the bias-only profiler's
+// block path: a profile collected while capturing the stream and one
+// replayed from the decoded cache both equal the profile of a direct
+// execution, per-branch counts and instruction total alike.
+func TestBiasProfileBlockPathMatchesDirect(t *testing.T) {
+	ctx := context.Background()
+	want, err := testHarness().Profile(ctx, "compress", workload.InputTest, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, replayed := range []bool{false, true} {
+		h := testHarness()
+		h.Replay = replay.New(2, 0, "")
+		if replayed {
+			if _, err := h.Run(ctx, Arm{Workload: "compress", Pred: "gshare:1KB", Scheme: "none"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := h.Profile(ctx, "compress", workload.InputTest, "")
+		h.Replay.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("replayed=%v: bias profile differs from direct execution (instructions %d vs %d, %d vs %d branches)",
+				replayed, got.Instructions, want.Instructions, got.Len(), want.Len())
+		}
 	}
 }

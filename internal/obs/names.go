@@ -27,7 +27,9 @@ const (
 	MReplayChunksCaptured = "replay.chunks_captured"
 	// MReplayChunksSpilled counts sealed chunks that went to the spill file.
 	MReplayChunksSpilled = "replay.chunks_spilled"
-	// MReplayChunksReplayed counts chunk decodes performed by replaying arms.
+	// MReplayChunksReplayed counts chunks fed to replaying arms, whether
+	// decoded from their encoded bytes or served from the decoded-block
+	// cache (MReplayChunkDecode times only the former).
 	MReplayChunksReplayed = "replay.chunks_replayed"
 	// MReplayChunksQuarantined counts chunks that failed checksum
 	// verification and were quarantined aside instead of replayed.

@@ -77,12 +77,11 @@ func (p *Perceptron) Predict(pc uint64) bool {
 	w := p.weights[p.lIdx]
 	sum := int32(w[0])
 	h := p.hist.bits
-	for i := 1; i <= p.histLen; i++ {
-		if h&1 == 1 {
-			sum += int32(w[i])
-		} else {
-			sum -= int32(w[i])
-		}
+	for _, wi := range w[1 : p.histLen+1] {
+		// neg is 0 for a taken history bit and -1 for a not-taken one;
+		// (x ^ neg) - neg is then x or -x, without a branch.
+		neg := int32(h&1) - 1
+		sum += (int32(wi) ^ neg) - neg
 		h >>= 1
 	}
 	p.lSum = sum
@@ -113,19 +112,6 @@ func (p *Perceptron) LastConfidence() Confidence {
 	return Confidence{Score: score, Low: m <= p.theta}
 }
 
-func satAdd8(w int16, up bool) int16 {
-	if up {
-		if w < 127 {
-			return w + 1
-		}
-		return w
-	}
-	if w > -128 {
-		return w - 1
-	}
-	return w
-}
-
 // Update implements Predictor.
 func (p *Perceptron) Update(_ uint64, outcome bool) {
 	mag := p.lSum
@@ -133,12 +119,19 @@ func (p *Perceptron) Update(_ uint64, outcome bool) {
 		mag = -mag
 	}
 	if p.lPred != outcome || mag <= p.theta {
+		var o uint64
+		if outcome {
+			o = 1
+		}
 		w := p.weights[p.lIdx]
-		w[0] = satAdd8(w[0], outcome)
+		// Each weight steps +1 toward agreement with the outcome (the bias
+		// weight: toward the outcome) and -1 otherwise, saturating at the
+		// 8-bit range.
+		w[0] = min(max(w[0]+int16(2*o)-1, -128), 127)
 		h := p.hist.bits
-		for i := 1; i <= p.histLen; i++ {
-			agree := (h&1 == 1) == outcome
-			w[i] = satAdd8(w[i], agree)
+		ws := w[1 : p.histLen+1]
+		for i, wi := range ws {
+			ws[i] = min(max(wi+1-int16(2*((h^o)&1)), -128), 127)
 			h >>= 1
 		}
 	}

@@ -20,17 +20,19 @@ package predictor
 type TAGE struct {
 	base *table // bimodal base
 
-	comps []tageComp
+	comps [tageComps]tageComp
 	hist  ghr
 
-	// lookup state
+	// lookup state: lIdx and lTag hold each component's index and tag,
+	// computed by Predict and reused by Update (the Predict-then-Update
+	// contract guarantees the same pc and history)
 	lBaseIdx  uint64
 	lProvider int // component index, -1 = base
 	lAltPred  bool
 	lProvPred bool
 	lPred     bool
-	lIdx      []uint64
-	lTagMatch []bool
+	lIdx      [tageComps]uint64
+	lTag      [tageComps]uint16
 	lNewAlloc bool
 	lConf     Confidence
 	collision bool
@@ -50,7 +52,14 @@ type tageComp struct {
 	useful  []uint8 // 2-bit useful counters
 	mask    uint64
 	histLen int
+	idxBits int // log2(len(ctr))
 	tagBits int
+	tagMask uint64
+
+	// folded history registers: the component's histLen bits of global
+	// history xor-folded to the index width, the tag width and one bit
+	// less, kept current by every history shift
+	fIdx, fTag, fTag1 foldedHist
 
 	dbgTags []uint64 // collision instrumentation (last PC per entry)
 
@@ -64,8 +73,38 @@ type tageComp struct {
 	sAlloc, sAllocFail uint64
 }
 
+// tageComps is the number of tagged components.
+const tageComps = 5
+
 // tageHistLens are the geometric history lengths of the tagged components.
-var tageHistLens = []int{4, 8, 16, 32, 64}
+var tageHistLens = [tageComps]int{4, 8, 16, 32, 64}
+
+// foldedHist is a history of histLen bits xor-folded into width bits — bit j
+// of the history lands on bit j mod width — maintained incrementally (Seznec
+// and Michaud's circular shift register): a shift rotates the folded value
+// left by one, inserts the new outcome at bit 0 and cancels the bit that
+// leaves the history window, at the position histLen mod width where the
+// rotation moved it.
+type foldedHist struct {
+	v      uint64
+	mask   uint64 // width low bits
+	width  uint
+	outPos uint // histLen mod width
+}
+
+// newFoldedHist returns the empty fold of histLen bits into width >= 1 bits.
+func newFoldedHist(histLen, width int) foldedHist {
+	return foldedHist{mask: uint64(1)<<width - 1, width: uint(width), outPos: uint(histLen % width)}
+}
+
+// shift absorbs one history shift: in is the new outcome bit and out the
+// bit leaving the histLen-bit window (both 0 or 1).
+func (f *foldedHist) shift(in, out uint64) {
+	v := f.v<<1 | in
+	v ^= out << f.outPos
+	v ^= v >> f.width
+	f.v = v & f.mask
+}
 
 // NewTAGE builds a TAGE within sizeBytes. The base bimodal gets a quarter of
 // the budget; the rest splits evenly across the tagged components (each
@@ -77,8 +116,7 @@ func NewTAGE(sizeBytes int) *TAGE {
 	}
 	t := &TAGE{base: newTable(entriesForBytes(baseBudget))}
 
-	nComp := len(tageHistLens)
-	perComp := (sizeBytes - baseBudget) / nComp
+	perComp := (sizeBytes - baseBudget) / tageComps
 	for i, hl := range tageHistLens {
 		tagBits := 7 + i // longer histories earn longer tags
 		entryBits := 3 + 2 + tagBits
@@ -86,18 +124,22 @@ func NewTAGE(sizeBytes int) *TAGE {
 		for e*2*entryBits <= perComp*8 {
 			e *= 2
 		}
-		t.comps = append(t.comps, tageComp{
+		idxBits := log2(e)
+		t.comps[i] = tageComp{
 			ctr:     make([]int8, e),
 			tag:     make([]uint16, e),
 			useful:  make([]uint8, e),
 			mask:    uint64(e - 1),
 			histLen: hl,
+			idxBits: idxBits,
 			tagBits: tagBits,
-		})
+			tagMask: uint64(1)<<tagBits - 1,
+			fIdx:    newFoldedHist(hl, idxBits),
+			fTag:    newFoldedHist(hl, tagBits),
+			fTag1:   newFoldedHist(hl, tagBits-1),
+		}
 	}
 	t.hist = newGHR(64)
-	t.lIdx = make([]uint64, nComp)
-	t.lTagMatch = make([]bool, nComp)
 	return t
 }
 
@@ -113,34 +155,22 @@ func (t *TAGE) SizeBits() int {
 	return bits
 }
 
-// foldHistory compresses hl bits of history into width bits by xor-folding.
-func foldHistory(hist uint64, hl, width int) uint64 {
-	if width <= 0 {
-		return 0
+// ShiftHistory implements HistoryShifter: it inserts outcome into the
+// global history and every component's folded registers.
+func (t *TAGE) ShiftHistory(outcome bool) {
+	var in uint64
+	if outcome {
+		in = 1
 	}
-	h := hist
-	if hl < 64 {
-		h &= (uint64(1) << hl) - 1
+	h := t.hist.bits
+	for i := range t.comps {
+		c := &t.comps[i]
+		out := h >> (c.histLen - 1) & 1
+		c.fIdx.shift(in, out)
+		c.fTag.shift(in, out)
+		c.fTag1.shift(in, out)
 	}
-	var out uint64
-	for hl > 0 {
-		out ^= h & ((uint64(1) << width) - 1)
-		h >>= width
-		hl -= width
-	}
-	return out
-}
-
-func (c *tageComp) index(pc, hist uint64) uint64 {
-	w := log2(len(c.ctr))
-	a := pcIndex(pc)
-	return (a ^ (a >> w) ^ foldHistory(hist, c.histLen, w)) & c.mask
-}
-
-func (c *tageComp) tagOf(pc, hist uint64) uint16 {
-	a := pcIndex(pc)
-	return uint16((a ^ (a >> 5) ^ foldHistory(hist, c.histLen, c.tagBits) ^
-		foldHistory(hist, c.histLen, c.tagBits-1)<<1) & ((1 << c.tagBits) - 1))
+	t.hist.shift(outcome)
 }
 
 // Predict implements Predictor.
@@ -154,25 +184,29 @@ func (t *TAGE) Predict(pc uint64) bool {
 	alt := basePred
 	pred := basePred
 	altSet := false
+	a := t.lBaseIdx
+	tagPC := a ^ a>>5
 	for i := range t.comps {
 		c := &t.comps[i]
-		t.lIdx[i] = c.index(pc, t.hist.bits)
-		t.lTagMatch[i] = c.tag[t.lIdx[i]] == c.tagOf(pc, t.hist.bits)
+		idx := (a ^ a>>c.idxBits ^ c.fIdx.v) & c.mask
+		tag := uint16((tagPC ^ c.fTag.v ^ c.fTag1.v<<1) & c.tagMask)
+		match := c.tag[idx] == tag
+		t.lIdx[i], t.lTag[i] = idx, tag
 		if c.dbgTags != nil {
-			old := c.dbgTags[t.lIdx[i]]
+			old := c.dbgTags[idx]
 			if old != 0 && old != pc+1 {
 				t.collision = true
 			}
-			c.dbgTags[t.lIdx[i]] = pc + 1
+			c.dbgTags[idx] = pc + 1
 		}
 		if t.statsOn {
-			if t.lTagMatch[i] {
+			if match {
 				c.sHit++
 			} else {
 				c.sMiss++
 			}
 		}
-		if t.lTagMatch[i] {
+		if match {
 			if t.lProvider >= 0 {
 				alt = t.comps[t.lProvider].ctr[t.lIdx[t.lProvider]] >= 0
 				altSet = true
@@ -261,7 +295,7 @@ func ctr3Update(v int8, outcome bool) int8 {
 }
 
 // Update implements Predictor.
-func (t *TAGE) Update(pc uint64, outcome bool) {
+func (t *TAGE) Update(_ uint64, outcome bool) {
 	correct := t.lPred == outcome
 
 	if t.lProvider >= 0 {
@@ -292,9 +326,9 @@ func (t *TAGE) Update(pc uint64, outcome bool) {
 		allocated := false
 		for i := start; i < len(t.comps); i++ {
 			c := &t.comps[i]
-			idx := c.index(pc, t.hist.bits)
+			idx := t.lIdx[i]
 			if c.useful[idx] == 0 {
-				c.tag[idx] = c.tagOf(pc, t.hist.bits)
+				c.tag[idx] = t.lTag[i]
 				if outcome {
 					c.ctr[idx] = 0
 				} else {
@@ -315,7 +349,7 @@ func (t *TAGE) Update(pc uint64, outcome bool) {
 			// succeed (the classic anti-ping-pong mechanism)
 			for i := start; i < len(t.comps); i++ {
 				c := &t.comps[i]
-				idx := c.index(pc, t.hist.bits)
+				idx := t.lIdx[i]
 				if c.useful[idx] > 0 {
 					c.useful[idx]--
 				}
@@ -333,11 +367,8 @@ func (t *TAGE) Update(pc uint64, outcome bool) {
 		}
 	}
 
-	t.hist.shift(outcome)
+	t.ShiftHistory(outcome)
 }
-
-// ShiftHistory implements HistoryShifter.
-func (t *TAGE) ShiftHistory(outcome bool) { t.hist.shift(outcome) }
 
 // Reset implements Predictor.
 func (t *TAGE) Reset() {
@@ -355,6 +386,7 @@ func (t *TAGE) Reset() {
 		c.sHit, c.sMiss = 0, 0
 		c.sProv, c.sAlt = 0, 0
 		c.sAlloc, c.sAllocFail = 0, 0
+		c.fIdx.v, c.fTag.v, c.fTag1.v = 0, 0, 0
 	}
 	t.hist.reset()
 	t.tick = 0

@@ -68,6 +68,97 @@ func TestTAGEAllocatesOnMispredict(t *testing.T) {
 	}
 }
 
+// foldHistory compresses hl bits of history into width bits by xor-folding:
+// the definition TAGE's incrementally folded registers must track.
+func foldHistory(hist uint64, hl, width int) uint64 {
+	if width <= 0 {
+		return 0
+	}
+	h := hist
+	if hl < 64 {
+		h &= (uint64(1) << hl) - 1
+	}
+	var out uint64
+	for hl > 0 {
+		out ^= h & ((uint64(1) << width) - 1)
+		h >>= width
+		hl -= width
+	}
+	return out
+}
+
+// index and tagOf hash a component's index and partial tag from the
+// unfolded global history, by definition.
+func (c *tageComp) index(pc, hist uint64) uint64 {
+	w := log2(len(c.ctr))
+	a := pcIndex(pc)
+	return (a ^ (a >> w) ^ foldHistory(hist, c.histLen, w)) & c.mask
+}
+
+func (c *tageComp) tagOf(pc, hist uint64) uint16 {
+	a := pcIndex(pc)
+	return uint16((a ^ (a >> 5) ^ foldHistory(hist, c.histLen, c.tagBits) ^
+		foldHistory(hist, c.histLen, c.tagBits-1)<<1) & ((1 << c.tagBits) - 1))
+}
+
+// TestTAGEFoldedHistoryMatchesDefinition drives TAGE with Predict/Update,
+// bare ShiftHistory calls and Resets interleaved, and after every event
+// checks each component's three folded registers against foldHistory over
+// the full history register, and every lookup's indices and tags against
+// index/tagOf — an oracle sharing no code with the incremental path. The
+// sizes vary the index width against the history lengths, so folds with
+// histLen below, equal to and above a multiple of the width all occur.
+func TestTAGEFoldedHistoryMatchesDefinition(t *testing.T) {
+	pcs, taken := testStream(30_000, 4242)
+	for _, size := range []int{1 << 10, 8 << 10, 64 << 10} {
+		tg := NewTAGE(size)
+		checkFolds := func(event int, what string) {
+			t.Helper()
+			for k := range tg.comps {
+				c := &tg.comps[k]
+				for _, f := range []struct {
+					name  string
+					got   uint64
+					width int
+				}{
+					{"index", c.fIdx.v, log2(len(c.ctr))},
+					{"tag", c.fTag.v, c.tagBits},
+					{"tag-1", c.fTag1.v, c.tagBits - 1},
+				} {
+					if want := foldHistory(tg.hist.bits, c.histLen, f.width); f.got != want {
+						t.Fatalf("size %d, event %d (%s): t%d %s fold %#x, want %#x",
+							size, event, what, c.histLen, f.name, f.got, want)
+					}
+				}
+			}
+		}
+		for i, pc := range pcs {
+			switch {
+			case i%4999 == 4998:
+				tg.Reset()
+				checkFolds(i, "Reset")
+			case i%7 == 3:
+				tg.ShiftHistory(taken[i])
+				checkFolds(i, "ShiftHistory")
+				continue
+			}
+			hist := tg.hist.bits
+			tg.Predict(pc)
+			for k := range tg.comps {
+				c := &tg.comps[k]
+				if idx := c.index(pc, hist); tg.lIdx[k] != idx {
+					t.Fatalf("size %d, event %d: t%d index %d, want %d", size, i, c.histLen, tg.lIdx[k], idx)
+				}
+				if tag := c.tagOf(pc, hist); tg.lTag[k] != tag {
+					t.Fatalf("size %d, event %d: t%d tag %#x, want %#x", size, i, c.histLen, tg.lTag[k], tag)
+				}
+			}
+			tg.Update(pc, taken[i])
+			checkFolds(i, "Update")
+		}
+	}
+}
+
 func TestFoldHistory(t *testing.T) {
 	// folding must be deterministic, fit the width, and depend on all
 	// folded bits

@@ -68,14 +68,15 @@ type Option func(*Engine)
 func WithVerify(on bool) Option { return func(e *Engine) { e.verify = on } }
 
 // WithBatch toggles the batched replay kernel (the default is on). When on,
-// a recorder that consumes blocks (trace.BlockSink — sim.Runner does) is
-// fed whole decoded blocks instead of per-event Branch calls, and a
-// capturing arm whose predictor has a native kernel records the stream
-// first and then block-replays its own capture, instead of simulating
-// per-event inside the instrumented execution. Results are bit-identical
-// either way — the differential tests prove it — so off is purely an
-// escape hatch (the CLIs expose it as -no-batch) and the scalar baseline
-// for benchmarks.
+// a recorder that consumes blocks (trace.BlockSink — sim.Runner and the
+// harness's bias-only profiler do) is fed whole decoded blocks instead of
+// per-event Branch calls, and a capturing arm of that kind records the
+// stream first and then block-replays its own capture, instead of
+// simulating per-event inside the instrumented execution; the capture's
+// decoded blocks are cached for the arms that replay it. Results are
+// bit-identical either way — the differential tests prove it — so off is
+// purely an escape hatch (the CLIs expose it as -no-batch) and the scalar
+// baseline for benchmarks.
 func WithBatch(on bool) Option { return func(e *Engine) { e.batch = on } }
 
 // WithQuarantine sets the directory corrupt chunks are preserved in for
@@ -261,19 +262,9 @@ func (s Source) String() string {
 	}
 }
 
-// batchRecorder is the recorder shape that makes capture self-replay
-// profitable: it consumes decoded blocks and reports (via BatchKernel)
-// that a devirtualized kernel actually backs them. sim.Runner implements
-// it; BatchKernel returns false when the predictor has no kernel, keeping
-// such arms on the cheaper direct tee.
-type batchRecorder interface {
-	trace.BlockSink
-	BatchKernel() bool
-}
-
 // Run feeds one arm with the branch stream of key: the first caller
-// executes produce (the instrumented workload) while teeing the stream
-// into its own recorder and the shared chunk buffer; every other caller
+// executes produce (the instrumented workload) while feeding the stream
+// to its own recorder and the shared chunk buffer; every other caller
 // replays the buffer, overlapping the capture. newRec must build a fresh
 // recorder on every call — when a shared capture fails, surviving arms
 // rebuild and replay the recapture from the start, so a recorder must
@@ -303,21 +294,19 @@ func (e *Engine) RunSourced(ctx context.Context, key string, produce func(trace.
 			return trace.Counts{}, SourceReplay, err
 		}
 		if capturer {
-			if br, ok := rec.(batchRecorder); e.batch && ok && br.BatchKernel() {
+			var c trace.Counts
+			if sink, ok := rec.(trace.BlockSink); e.batch && ok {
 				// Batched capture: record the stream without the per-event
-				// tee, feeding the arm's kernel whole decoded blocks as each
-				// chunk seals. The instrumented execution pays only array
-				// appends and the simulation runs devirtualized — cheaper
-				// than fusing them per-event, with no second decode pass.
-				// Provenance stays SourceCapture: this arm executed the
-				// workload.
-				c, err := t.captureBatch(produce, br)
-				if err == nil {
-					e.obsCaptures.Add(1)
-				}
-				return c, SourceCapture, err
+				// tee, feeding the arm whole decoded blocks as each chunk
+				// seals. The instrumented execution pays only array appends,
+				// the arm runs block-wise (devirtualized, when its predictor
+				// has a kernel), and the decoded chunks fill the cache, so no
+				// replaying arm decodes them again. Provenance stays
+				// SourceCapture: this arm executed the workload.
+				c, err = t.captureBatch(produce, sink)
+			} else {
+				c, err = t.capture(produce, rec)
 			}
-			c, err := t.capture(produce, rec)
 			if err == nil {
 				e.obsCaptures.Add(1)
 			}

@@ -103,9 +103,9 @@ func (d *decoded) feed(sink trace.BlockSink) {
 }
 
 // decodedCacheBudget bounds the decoded-block bytes cached per engine.
-// Decoded form is ~7x the encoded size, so the cache is the first thing to
-// give up under pressure: streams past the budget replay through the chunk
-// decoder exactly as spilled ones do.
+// Decoded form costs 17 bytes per branch against about 3.8 encoded (~4.4x),
+// so the cache is the first thing to give up under pressure: streams past
+// the budget replay through the chunk decoder exactly as spilled ones do.
 const decodedCacheBudget = 256 << 20
 
 // Trace is one captured branch stream: a sequence of self-contained encoded
@@ -147,14 +147,14 @@ func (t *Trace) broadcastLocked() {
 // captureRec is the Recorder the capture drives: it counts the stream and
 // encodes it into sealed chunks. On the batch self-feed path (captureBatch)
 // it additionally accumulates each chunk's decoded form, hands it to the
-// capturing arm's kernel as the chunk seals, and offers it to the decoded
+// capturing arm as the chunk seals, and offers it to the decoded
 // cache for the replaying arms.
 type captureRec struct {
 	trace.Counts
 	t *Trace
 	w trace.ChunkWriter
 
-	sink    trace.BlockSink // the capturing arm's kernel; nil on the tee path
+	sink    trace.BlockSink // the capturing arm; nil on the tee path
 	dec     decoded         // decoded form of the chunk being collected
 	pending uint64          // straight-line run awaiting its branch
 }
@@ -264,8 +264,7 @@ func (c *captureRec) takeDecoded() *decoded {
 }
 
 // cut seals the chunk collected so far; on the batch self-feed path the
-// decoded form goes to the cache and then straight to the capturing arm's
-// kernel.
+// decoded form goes to the cache and then straight to the capturing arm.
 func (c *captureRec) cut() {
 	data := c.w.Cut()
 	d := c.takeDecoded()
@@ -356,8 +355,8 @@ func (t *Trace) writeSpill(data []byte, crc uint32) (int64, error) {
 }
 
 // finish seals the final chunk and marks the capture complete. On the batch
-// self-feed path the final chunk reaches the capturing arm's kernel only
-// after the trace is published complete, so a kernel panic there (e.g.
+// self-feed path the final chunk reaches the capturing arm only after the
+// trace is published complete, so a panic there (e.g.
 // cooperative cancellation) fails that arm alone, not the shared capture.
 func (t *Trace) finish(cr *captureRec) {
 	data := cr.w.Cut()
@@ -457,13 +456,14 @@ func (t *Trace) capture(produce func(trace.Recorder) error, rec trace.Recorder) 
 	return t.runCapture(produce, cr, target)
 }
 
-// captureBatch is capture for an arm with a devirtualized batch kernel:
-// instead of a per-event tee into the arm's recorder, the capture
-// accumulates each chunk's decoded form alongside its encoding and feeds it
-// to the arm's kernel as the chunk seals. The instrumented execution records
-// through a trace.Batcher into the bulk capture path, the simulation runs
-// block-wise, and the decoded chunks are cached so replaying arms skip the
-// decode too.
+// captureBatch is capture for an arm that consumes blocks: instead of a
+// per-event tee into the arm's recorder, the capture accumulates each
+// chunk's decoded form alongside its encoding and feeds it to the arm as the
+// chunk seals. The instrumented execution records through a trace.Batcher
+// into the bulk capture path, the arm runs block-wise, and the decoded
+// chunks are cached so replaying arms skip the decode too. Every batch-mode
+// capture whose recorder is a trace.BlockSink takes this path; the tee in
+// capture remains for -no-batch and for recorders that take only events.
 func (t *Trace) captureBatch(produce func(trace.Recorder) error, sink trace.BlockSink) (trace.Counts, error) {
 	cr := &captureRec{t: t, sink: sink}
 	b := trace.NewBatcher(cr, 0)

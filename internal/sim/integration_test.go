@@ -133,3 +133,26 @@ func TestProfileAndMetricsAgree(t *testing.T) {
 		t.Fatalf("profile says %d branches, metrics say %d", db.DynamicBranches(), m.Branches)
 	}
 }
+
+// TestLiRunsAreDeterministic runs li twice over: its interpreter defines
+// builtins and marks globals in a fixed order, so every run yields the same
+// branch stream and with it the same metrics, collisions included.
+func TestLiRunsAreDeterministic(t *testing.T) {
+	prog, err := workload.Get("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() sim.Metrics {
+		r := sim.NewRunner(predictor.NewGShare(8<<10), sim.WithCollisions(), sim.WithLabels("li", workload.InputTest))
+		if err := prog.Run(context.Background(), workload.InputTest, r); err != nil {
+			t.Fatal(err)
+		}
+		return r.Metrics()
+	}
+	want := run()
+	for i := 0; i < 3; i++ {
+		if d := want.Diff(run()); d != "" {
+			t.Fatalf("run %d differs from the first: %s", i+2, d)
+		}
+	}
+}

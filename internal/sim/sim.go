@@ -237,8 +237,8 @@ func NewRunner(p predictor.Predictor, opts ...Option) *Runner {
 }
 
 // BatchKernel reports whether the runner's predictor has a native batch
-// kernel, i.e. whether RunBlock actually batches. Replay engines use it to
-// decide if a capturing arm is worth feeding through the block decoder.
+// kernel, i.e. whether RunBlock actually batches. The facade uses it to
+// decide if a direct run is worth feeding through a trace.Batcher.
 func (r *Runner) BatchKernel() bool { return r.kern != nil }
 
 // Branch implements trace.Recorder: predict, score, classify, train.

@@ -116,7 +116,8 @@ type liVM struct {
 	cells    []liCell
 	freeList []int
 	globals  map[string]int
-	roots    []int // GC roots (globals added separately)
+	gnames   []string // global names in definition order: the GC's mark order
+	roots    []int    // GC roots (globals added separately)
 	allocs   int
 	gcRuns   int
 	// gcEnabled is false while the reader builds partially-linked lists;
@@ -131,6 +132,15 @@ func newLiVM(c *Ctx, heap int) *liVM {
 		vm.freeList = append(vm.freeList, i)
 	}
 	return vm
+}
+
+// setGlobal binds name to the cell idx, recording a new name in definition
+// order.
+func (vm *liVM) setGlobal(name string, idx int) {
+	if _, ok := vm.globals[name]; !ok {
+		vm.gnames = append(vm.gnames, name)
+	}
+	vm.globals[name] = idx
 }
 
 func (vm *liVM) alloc(tag uint8) int {
@@ -169,8 +179,8 @@ func (vm *liVM) cons(car, cdr int) int {
 func (vm *liVM) gc() {
 	vm.gcRuns++
 	var stack []int
-	for _, idx := range vm.globals {
-		stack = append(stack, idx)
+	for _, name := range vm.gnames {
+		stack = append(stack, vm.globals[name])
 	}
 	stack = append(stack, vm.roots...)
 	for vm.s.gcMarkLoop.Taken(len(stack) > 0) {

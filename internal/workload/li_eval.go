@@ -98,7 +98,7 @@ func (vm *liVM) eval(expr, env int) int {
 			_, redef := vm.globals[vm.cells[nameCell].sym]
 			s.formDefine.Taken(redef) // redefinition bookkeeping
 			val := vm.eval(vm.cells[vm.cells[args].cdr].car, env)
-			vm.globals[vm.cells[nameCell].sym] = val
+			vm.setGlobal(vm.cells[nameCell].sym, val)
 			return val
 		default: // lambda
 			params := vm.cells[args].car
@@ -250,15 +250,22 @@ func (vm *liVM) applyBuiltin(id, argList, n int) int {
 	}
 }
 
+// liBuiltins lists the builtins in the fixed order defineBuiltins allocates
+// their cells in, so the heap layout is the same on every run.
+var liBuiltins = []struct {
+	name string
+	id   int
+}{
+	{"+", biAdd}, {"-", biSub}, {"*", biMul}, {"quotient", biQuotient},
+	{"<", biLess}, {"=", biEq}, {"cons", biCons}, {"car", biCar},
+	{"cdr", biCdr}, {"null?", biNullP}, {"not", biNot},
+}
+
 func (vm *liVM) defineBuiltins() {
-	for name, id := range map[string]int{
-		"+": biAdd, "-": biSub, "*": biMul, "quotient": biQuotient,
-		"<": biLess, "=": biEq, "cons": biCons, "car": biCar,
-		"cdr": biCdr, "null?": biNullP, "not": biNot,
-	} {
+	for _, b := range liBuiltins {
 		idx := vm.alloc(liBuiltin)
-		vm.cells[idx].num = int64(id)
-		vm.globals[name] = idx
+		vm.cells[idx].num = int64(b.id)
+		vm.setGlobal(b.name, idx)
 	}
 }
 
