@@ -24,6 +24,22 @@ type Agree struct {
 	lKnown    bool
 }
 
+// agreeVote is the agree vote on counter c for a branch with bias bit b: a
+// counter that agrees predicts the bias, one that disagrees its opposite. On
+// the branch's first encounter (!known) it is the counter's raw direction.
+func agreeVote(c uint8, b, known bool) uint64 { return 1 ^ dir(c) ^ b2u(b || !known) }
+
+// learnBias installs outcome as pc's bias bit on its first encounter and
+// returns the direction the counter trains toward: whether the outcome
+// agreed with the bias.
+func learnBias(bias map[uint64]bool, pc uint64, b, known, outcome bool) uint64 {
+	if !known {
+		bias[pc] = outcome
+		b = outcome
+	}
+	return b2u(outcome == b)
+}
+
 // NewAgree builds an agree predictor with gshare indexing over sizeBytes of
 // counter storage.
 func NewAgree(sizeBytes int) *Agree {
@@ -43,28 +59,47 @@ func (p *Agree) SetBias(pc uint64, taken bool) { p.bias[pc] = taken }
 
 // Predict implements Predictor.
 func (p *Agree) Predict(pc uint64) bool {
-	p.lIdx = pcIndex(pc) ^ p.hist.value(p.hist.len)
+	p.lIdx = gshareIndex(pc, p.hist.bits)
 	c, col := p.t.read(p.lIdx, pc)
 	p.collision = col
-	b, known := p.bias[pc]
-	p.lBias, p.lKnown = b, known
-	if !known {
-		// First encounter: predict the counter's raw direction; the bias
-		// bit is installed at Update.
-		return taken(c)
-	}
-	agree := taken(c)
-	return b == agree
+	p.lBias, p.lKnown = p.bias[pc]
+	return agreeVote(c, p.lBias, p.lKnown) == 1
 }
 
 // Update implements Predictor.
 func (p *Agree) Update(pc uint64, outcome bool) {
-	if !p.lKnown {
-		p.bias[pc] = outcome
-		p.lBias = outcome
-	}
-	p.t.update(p.lIdx, outcome == p.lBias)
+	p.t.train(p.lIdx, learnBias(p.bias, pc, p.lBias, p.lKnown, outcome), 1)
 	p.hist.shift(outcome)
+}
+
+// RunBlock implements BatchSim: Predict and Update fused over the hoisted
+// table and history, bias map included.
+func (p *Agree) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
+	n := len(p.t.ctr)
+	if len(pcs) == 0 || n == 0 {
+		return
+	}
+	ctr, tags, sw := p.t.hoist(n)
+	bias := p.bias
+	h, hm := p.hist.bits, p.hist.mask
+	taken = taken[:len(pcs)]
+	var a acc
+	a.init(out, len(pcs))
+	var col uint64
+	for i, pc := range pcs {
+		outcome := taken[i]
+		o := b2u(outcome)
+		x := int(gshareIndex(pc, h)) & (n - 1)
+		c := ctr[x]
+		col = tagReadU(tags, sw, x, pc)
+		b, known := bias[pc]
+		a.add(i, o, agreeVote(c, b, known)^o, col)
+		ctr[x] = ctrStep(c, learnBias(bias, pc, b, known, outcome), 1)
+		h = shiftIn(h, o, hm)
+	}
+	a.flush(out)
+	p.hist.bits = h
+	p.collision = col != 0
 }
 
 // ShiftHistory implements HistoryShifter.

@@ -26,8 +26,8 @@ type BiMode struct {
 	// lookup state carried from Predict to Update
 	lChoiceIdx uint64
 	lDirIdx    uint64
-	lChoice    bool
-	lPred      bool
+	lChoice    uint64
+	lPred      uint64
 }
 
 // NewBiMode builds a bi-mode predictor within sizeBytes of counter storage.
@@ -58,41 +58,62 @@ func (p *BiMode) SizeBits() int {
 	return p.choice.sizeBits() + p.direction[0].sizeBits() + p.direction[1].sizeBits() + p.hist.sizeBits()
 }
 
-func (p *BiMode) dirIndex(pc uint64) uint64 {
-	return pcIndex(pc) ^ p.hist.value(p.hist.len)
-}
+// choiceEnable is bi-mode's choice-table policy as a 0/1 enable: train
+// with outcome o unless the choice was wrong while the selected direction
+// bank was right (bad = 0).
+func choiceEnable(choice, bad, o uint64) uint64 { return 1 &^ ((choice ^ o) &^ bad) }
 
 // Predict implements Predictor.
 func (p *BiMode) Predict(pc uint64) bool {
-	p.lChoiceIdx = pcIndex(pc)
-	p.lDirIdx = p.dirIndex(pc)
-
+	p.lChoiceIdx, p.lDirIdx = pcIndex(pc), gshareIndex(pc, p.hist.bits)
 	cc, colC := p.choice.read(p.lChoiceIdx, pc)
-	p.lChoice = taken(cc)
-	bank := 0
-	if p.lChoice {
-		bank = 1
-	}
-	dc, colD := p.direction[bank].read(p.lDirIdx, pc)
-	p.lPred = taken(dc)
+	p.lChoice = dir(cc)
+	dc, colD := p.direction[p.lChoice].read(p.lDirIdx, pc)
+	p.lPred = dir(dc)
 	p.collision = colC || colD
-	return p.lPred
+	return p.lPred == 1
 }
 
 // Update implements Predictor.
 func (p *BiMode) Update(_ uint64, outcome bool) {
-	bank := 0
-	if p.lChoice {
-		bank = 1
-	}
-	p.direction[bank].update(p.lDirIdx, outcome)
-
-	// Train the choice table unless it was wrong but the selected bank
-	// still produced the right final prediction.
-	if !(p.lChoice != outcome && p.lPred == outcome) {
-		p.choice.update(p.lChoiceIdx, outcome)
-	}
+	o := b2u(outcome)
+	p.direction[p.lChoice].train(p.lDirIdx, o, 1)
+	p.choice.train(p.lChoiceIdx, o, choiceEnable(p.lChoice, p.lPred^o, o))
 	p.hist.shift(outcome)
+}
+
+// RunBlock implements BatchSim: Predict and Update fused over the hoisted
+// choice table; the selected direction bank is reached through its table.
+func (p *BiMode) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
+	n := len(p.choice.ctr)
+	if len(pcs) == 0 || n == 0 {
+		return
+	}
+	cCtr, cTags, cSw := p.choice.hoist(n)
+	dirs := p.direction
+	h, hm := p.hist.bits, p.hist.mask
+	taken = taken[:len(pcs)]
+	var a acc
+	a.init(out, len(pcs))
+	var col uint64
+	for i, pc := range pcs {
+		o := b2u(taken[i])
+		ci, di := int(pcIndex(pc))&(n-1), int(gshareIndex(pc, h))&(n-1)
+		cc := cCtr[ci]
+		colC := tagReadU(cTags, cSw, ci, pc)
+		choice := dir(cc)
+		bank := dirs[choice&1] // branch-free bank select
+		dc := bank.ctr[di]
+		col = colC | tagReadU(bank.tags, bank.switches, di, pc)
+		bad := dir(dc) ^ o
+		a.add(i, o, bad, col)
+		bank.ctr[di] = ctrStep(dc, o, 1)
+		cCtr[ci] = ctrStep(cc, o, choiceEnable(choice, bad, o))
+		h = shiftIn(h, o, hm)
+	}
+	a.flush(out)
+	p.hist.bits = h
+	p.collision = col != 0
 }
 
 // ShiftHistory implements HistoryShifter.

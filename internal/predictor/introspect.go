@@ -100,24 +100,6 @@ func counterEntropy(counts [4]uint64) float64 {
 }
 
 // EnableTableStats implements Introspector.
-func (p *Bimodal) EnableTableStats() { p.t.enableStats() }
-
-// Introspect implements Introspector.
-func (p *Bimodal) Introspect() []TableStats { return []TableStats{p.t.stats("pht")} }
-
-// EnableTableStats implements Introspector.
-func (p *GHist) EnableTableStats() { p.t.enableStats() }
-
-// Introspect implements Introspector.
-func (p *GHist) Introspect() []TableStats { return []TableStats{p.t.stats("pht")} }
-
-// EnableTableStats implements Introspector.
-func (p *GShare) EnableTableStats() { p.t.enableStats() }
-
-// Introspect implements Introspector.
-func (p *GShare) Introspect() []TableStats { return []TableStats{p.t.stats("pht")} }
-
-// EnableTableStats implements Introspector.
 func (p *BiMode) EnableTableStats() {
 	p.choice.enableStats()
 	p.direction[0].enableStats()

@@ -34,7 +34,7 @@ func TestBiModeChoiceUpdateException(t *testing.T) {
 	// choice=1 (not-taken) selects bank 0; bank 0's counter at the current
 	// index is forced to taken manually.
 	p.Reset()
-	idx := p.dirIndex(pc)
+	idx := gshareIndex(pc, p.hist.bits)
 	p.direction[0].update(idx, true)
 	p.direction[0].update(idx, true) // bank 0 now predicts taken
 
@@ -59,12 +59,21 @@ func TestBiModeChoiceUpdateException(t *testing.T) {
 	}
 }
 
+// bcgskewIndices is p's BIM, G0, G1 and META indices for pc at its current
+// history, as Predict stashes them. The Predict runs on a copy sharing p's
+// tables, which it only reads while collision tags are off.
+func bcgskewIndices(p *TwoBcGskew, pc uint64) [4]uint64 {
+	q := *p
+	q.Predict(pc)
+	return q.lIdx
+}
+
 func TestTwoBcGskewMetaOnlyTrainsOnDisagreement(t *testing.T) {
 	p := NewTwoBcGskew(1 << 10)
 	pc := uint64(0x200)
 
 	metaVal := func() uint8 {
-		idx := p.indices(pc)
+		idx := bcgskewIndices(p, pc)
 		c, _ := p.meta.read(idx[3], pc)
 		return c
 	}
@@ -90,7 +99,7 @@ func TestTwoBcGskewBadPredictionTrainsAllBanks(t *testing.T) {
 	p := NewTwoBcGskew(1 << 10)
 	pc := uint64(0x300)
 
-	idx := p.indices(pc)
+	idx := bcgskewIndices(p, pc)
 	read := func(tb *table, i uint64) uint8 {
 		c, _ := tb.read(i, pc)
 		return c
@@ -114,7 +123,7 @@ func TestTwoBcGskewCorrectViaBimodalOnlyTrainsBim(t *testing.T) {
 	p := NewTwoBcGskew(1 << 10)
 	pc := uint64(0x400)
 
-	idx := p.indices(pc)
+	idx := bcgskewIndices(p, pc)
 	g0Before, _ := p.g0.read(idx[1], pc)
 
 	if p.Predict(pc) {

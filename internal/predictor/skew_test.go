@@ -5,15 +5,126 @@ import (
 	"testing/quick"
 )
 
+// The skewing functions as first written, one definition per symbol with the
+// masking and degenerate widths handled inside. They are the oracle the
+// production skew methods — precomputed constants, inlinable — must equal.
+
+// hFunc computes H(y) over n-bit values. For n < 2 it degenerates to the
+// identity (a 1-bit value has no distinct rotation).
+func hFunc(y uint64, n int) uint64 {
+	mask := (uint64(1) << n) - 1
+	y &= mask
+	if n < 2 {
+		return y
+	}
+	fb := (y ^ (y >> (n - 1))) & 1
+	return ((y >> 1) | (fb << (n - 1))) & mask
+}
+
+// hInv computes H⁻¹(y) over n-bit values.
+func hInv(y uint64, n int) uint64 {
+	mask := (uint64(1) << n) - 1
+	y &= mask
+	if n < 2 {
+		return y
+	}
+	top := (y >> (n - 1)) & 1
+	next := (y >> (n - 2)) & 1
+	b0 := top ^ next
+	return ((y << 1) | b0) & mask
+}
+
+// skewIndex computes the bank-th skewing function over the 2n-bit input
+// split into high part v1 and low part v2.
+func skewIndex(bank int, v1, v2 uint64, n int) uint64 {
+	mask := (uint64(1) << n) - 1
+	v1 &= mask
+	v2 &= mask
+	switch bank {
+	case 0:
+		return hFunc(v1, n) ^ hInv(v2, n) ^ v2
+	case 1:
+		return hFunc(v1, n) ^ hInv(v2, n) ^ v1
+	default:
+		return hInv(v1, n) ^ hFunc(v2, n) ^ v2
+	}
+}
+
+// bankInput builds the (v1, v2) pair for a skewed bank from the branch
+// address and hlen bits of global history.
+func bankInput(pc uint64, hist uint64, hlen, n int) (v1, v2 uint64) {
+	a := pcIndex(pc)
+	mask := (uint64(1) << n) - 1
+	h := hist
+	if hlen < 64 {
+		h &= (uint64(1) << hlen) - 1
+	}
+	v1 = (a >> n) & mask
+	v2 = (a ^ h) & mask
+	if hlen > n {
+		v1 ^= (h >> n) & mask
+	}
+	return v1, v2
+}
+
+// skewValues yields edge values (zero, all-ones, single bits at both ends
+// and the middle, alternating patterns) followed by n random ones.
+func skewValues(n int) []uint64 {
+	vals := []uint64{0, ^uint64(0), 1, 1 << 63, 1 << 31, 0x5555_5555_5555_5555, 0xaaaa_aaaa_aaaa_aaaa}
+	r := pinRand(uint64(n))
+	for i := 0; i < n; i++ {
+		vals = append(vals, r.next())
+	}
+	return vals
+}
+
+// TestSkewMatchesOracle holds the production skew methods to the oracle
+// definitions above for every index width in 2..20, for history lengths
+// narrower than, equal to and wider than the index, over edge and random
+// values.
+func TestSkewMatchesOracle(t *testing.T) {
+	vals := skewValues(200)
+	for n := 2; n <= 20; n++ {
+		s := newSkew(n)
+		for _, y := range vals {
+			yn := y & s.mask
+			if got, want := s.h(yn), hFunc(y, n); got != want {
+				t.Fatalf("n=%d: h(%#x) = %#x, oracle %#x", n, yn, got, want)
+			}
+			if got, want := s.hinv(yn), hInv(y, n); got != want {
+				t.Fatalf("n=%d: hinv(%#x) = %#x, oracle %#x", n, yn, got, want)
+			}
+		}
+		for i, x := range vals {
+			v1, v2 := x&s.mask, vals[(i+1)%len(vals)]&s.mask
+			for bank, f := range []func(uint64, uint64) uint64{s.f0, s.f1, s.f2} {
+				if got, want := f(v1, v2), skewIndex(bank, v1, v2, n); got != want {
+					t.Fatalf("n=%d: f%d(%#x, %#x) = %#x, oracle %#x", n, bank, v1, v2, got, want)
+				}
+			}
+		}
+		for _, hlen := range []int{0, 1, 2, n - 1, n, n + 1, 2 * n, 63, 64} {
+			for i, pc := range vals {
+				hist := vals[(i+3)%len(vals)]
+				v1, v2 := s.inputs(pcIndex(pc), hist&histMask(hlen))
+				w1, w2 := bankInput(pc, hist, hlen, n)
+				if v1 != w1 || v2 != w2 {
+					t.Fatalf("n=%d hlen=%d: inputs(%#x, %#x) = (%#x, %#x), oracle (%#x, %#x)", n, hlen, pc, hist, v1, v2, w1, w2)
+				}
+			}
+		}
+	}
+}
+
 func TestHFuncInverse(t *testing.T) {
 	for n := 2; n <= 16; n++ {
-		mask := (uint64(1) << n) - 1
-		for y := uint64(0); y <= mask && y < 4096; y++ {
-			if got := hInv(hFunc(y, n), n); got != y {
-				t.Fatalf("n=%d: hInv(hFunc(%#x)) = %#x", n, y, got)
+		s := newSkew(n)
+		for y := uint64(0); y <= s.mask && y < 4096; y++ {
+			if got := s.hinv(s.h(y)); got != y {
+				t.Fatalf("n=%d: hinv(h(%#x)) = %#x", n, y, got)
 			}
-			if got := hFunc(hInv(y, n), n); got != y {
-				t.Fatalf("n=%d: hFunc(hInv(%#x)) = %#x", n, y, got)
+			if got := s.h(s.hinv(y)); got != y {
+				t.Fatalf("n=%d: h(hinv(%#x)) = %#x", n, y, got)
 			}
 		}
 	}
@@ -21,9 +132,9 @@ func TestHFuncInverse(t *testing.T) {
 
 func TestHFuncInverseProperty(t *testing.T) {
 	f := func(y uint64, nRaw uint8) bool {
-		n := 2 + int(nRaw%19) // 2..20
-		y &= (uint64(1) << n) - 1
-		return hInv(hFunc(y, n), n) == y
+		s := newSkew(2 + int(nRaw%19)) // 2..20
+		y &= s.mask
+		return s.hinv(s.h(y)) == y
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -32,16 +143,19 @@ func TestHFuncInverseProperty(t *testing.T) {
 
 func TestHFuncIsPermutation(t *testing.T) {
 	const n = 10
+	s := newSkew(n)
 	seen := make([]bool, 1<<n)
 	for y := uint64(0); y < 1<<n; y++ {
-		v := hFunc(y, n)
+		v := s.h(y)
 		if seen[v] {
-			t.Fatalf("hFunc not injective at %#x", y)
+			t.Fatalf("h not injective at %#x", y)
 		}
 		seen[v] = true
 	}
 }
 
+// The oracle keeps the 1-bit degenerate case; production skews never see it
+// (skewed banks have at least 4 entries).
 func TestHFuncDegenerateWidth(t *testing.T) {
 	for _, y := range []uint64{0, 1} {
 		if hFunc(y, 1) != y || hInv(y, 1) != y {
@@ -50,15 +164,16 @@ func TestHFuncDegenerateWidth(t *testing.T) {
 	}
 }
 
-// skewIndex over a full (v1, v2) square must hit every index equally often:
-// each skewing function is a balanced map from 2n bits onto n bits.
+// Each skewing function over a full (v1, v2) square must hit every index
+// equally often: it is a balanced map from 2n bits onto n bits.
 func TestSkewIndexBalanced(t *testing.T) {
 	const n = 6
-	for bank := 0; bank < 3; bank++ {
+	s := newSkew(n)
+	for bank, f := range []func(uint64, uint64) uint64{s.f0, s.f1, s.f2} {
 		counts := make([]int, 1<<n)
 		for v1 := uint64(0); v1 < 1<<n; v1++ {
 			for v2 := uint64(0); v2 < 1<<n; v2++ {
-				counts[skewIndex(bank, v1, v2, n)]++
+				counts[f(v1, v2)]++
 			}
 		}
 		for idx, c := range counts {
@@ -73,12 +188,13 @@ func TestSkewIndexBalanced(t *testing.T) {
 // banks — the de-aliasing property the skewing family exists for.
 func TestSkewIndexDecorrelatesBanks(t *testing.T) {
 	const n = 8
+	s := newSkew(n)
 	type pair struct{ v1, v2 uint64 }
 	// group inputs by bank-0 index, then check bank-1 spreads each group
 	groups := map[uint64][]pair{}
 	for v1 := uint64(0); v1 < 64; v1++ {
 		for v2 := uint64(0); v2 < 64; v2++ {
-			idx := skewIndex(0, v1, v2, n)
+			idx := s.f0(v1, v2)
 			groups[idx] = append(groups[idx], pair{v1, v2})
 		}
 	}
@@ -87,7 +203,7 @@ func TestSkewIndexDecorrelatesBanks(t *testing.T) {
 	for _, g := range groups {
 		for i := 1; i < len(g); i++ {
 			total++
-			if skewIndex(1, g[0].v1, g[0].v2, n) == skewIndex(1, g[i].v1, g[i].v2, n) {
+			if s.f1(g[0].v1, g[0].v2) == s.f1(g[i].v1, g[i].v2) {
 				bothCollide++
 			}
 		}
@@ -101,17 +217,18 @@ func TestSkewIndexDecorrelatesBanks(t *testing.T) {
 }
 
 func TestBankInputDeterministic(t *testing.T) {
-	v1a, v2a := bankInput(0x1234_5678, 0xabcd, 12, 10)
-	v1b, v2b := bankInput(0x1234_5678, 0xabcd, 12, 10)
+	s := newSkew(10)
+	a := pcIndex(0x1234_5678)
+	v1a, v2a := s.inputs(a, 0xabcd&histMask(12))
+	v1b, v2b := s.inputs(a, 0xabcd&histMask(12))
 	if v1a != v1b || v2a != v2b {
-		t.Fatalf("bankInput not deterministic")
+		t.Fatalf("inputs not deterministic")
 	}
-	mask := uint64(1)<<10 - 1
-	if v1a&^mask != 0 || v2a&^mask != 0 {
-		t.Fatalf("bankInput exceeded index width")
+	if v1a&^s.mask != 0 || v2a&^s.mask != 0 {
+		t.Fatalf("inputs exceeded index width")
 	}
 	// history must influence the input
-	_, v2c := bankInput(0x1234_5678, 0xabce, 12, 10)
+	_, v2c := s.inputs(a, 0xabce&histMask(12))
 	if v2c == v2a {
 		t.Fatalf("history change did not alter bank input")
 	}

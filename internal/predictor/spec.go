@@ -11,6 +11,16 @@ import (
 // 8KB point most of the paper's tables use.
 const DefaultSize = 8 * 1024
 
+// maxSize is the largest table budget ParseSize accepts: 256 times the
+// largest size any experiment uses (64KB). A spec is untrusted input — the
+// sweep service parses specs straight off HTTP requests — and a table
+// allocation too large for memory kills the process beyond recover's reach.
+const maxSize = 16 << 20
+
+// maxHist is the longest global history a spec's h option may ask for: the
+// width of the history register.
+const maxHist = 64
+
 // Spec is one predictor specification, parsed: a canonical scheme name (all
 // aliases resolved), a table budget in bytes, and scheme options. The zero
 // value is not a valid spec; build one with ParseSpec.
@@ -91,7 +101,8 @@ func optAccepted(k string) bool {
 //	tage, perceptron                            (modern successors)
 //	taken, nottaken                             (trivial static baselines)
 //
-// Options: h=<n> sets the gshare global history length. Errors name the
+// Sizes above 16MB are rejected. Options: h=<n>, 0 ≤ n ≤ 64, sets the gshare
+// global history length. Errors name the
 // offending token: an unknown scheme lists the accepted names, an unknown
 // option key lists the accepted keys.
 func ParseSpec(spec string) (Spec, error) {
@@ -123,6 +134,9 @@ func ParseSpec(spec string) (Spec, error) {
 				if err != nil {
 					return Spec{}, fmt.Errorf("predictor: spec %q: option %q: value %q is not an integer", spec, k, strings.TrimSpace(v))
 				}
+				if n < 0 || n > maxHist {
+					return Spec{}, fmt.Errorf("predictor: spec %q: option %q: value %d outside [0, %d]", spec, k, n, maxHist)
+				}
 				if s.Opts == nil {
 					s.Opts = map[string]int{}
 				}
@@ -135,6 +149,11 @@ func ParseSpec(spec string) (Spec, error) {
 			return Spec{}, fmt.Errorf("predictor: spec %q: %w", spec, err)
 		}
 		s.Size = n
+	}
+	if schemes[name].sizeless {
+		// The size is ignored and String drops it; keep the parse of the
+		// canonical form equal to this one.
+		s.Size = DefaultSize
 	}
 	return s, nil
 }
@@ -217,7 +236,8 @@ func Names() []string {
 }
 
 // ParseSize parses a byte-count string with an optional B/K/KB/M/MB suffix
-// (case-insensitive): "8KB" → 8192, "512" → 512.
+// (case-insensitive): "8KB" → 8192, "512" → 512. Sizes above 16MB are
+// rejected.
 func ParseSize(s string) (int, error) {
 	u := strings.ToUpper(strings.TrimSpace(s))
 	mult := 1
@@ -236,6 +256,9 @@ func ParseSize(s string) (int, error) {
 	n, err := strconv.Atoi(strings.TrimSpace(u))
 	if err != nil || n <= 0 {
 		return 0, fmt.Errorf("invalid size %q", s)
+	}
+	if n > maxSize/mult {
+		return 0, fmt.Errorf("size %q exceeds the %s maximum", s, FormatSize(maxSize))
 	}
 	return n * mult, nil
 }

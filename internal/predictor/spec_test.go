@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -82,7 +83,8 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("ParseSize(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, in := range []string{"", "-4KB", "0", "KB", "4GB2"} {
+	for _, in := range []string{"", "-4KB", "0", "KB", "4GB2", "17MB", "16385K", "16777217",
+		"17592186044416MB", "9223372036854775807K"} {
 		if _, err := ParseSize(in); err == nil {
 			t.Errorf("ParseSize(%q) succeeded", in)
 		}
@@ -180,6 +182,12 @@ func TestSpecErrorsNameOffendingToken(t *testing.T) {
 		"gshare:8KB:h=4,x": {`"x"`, "key=value"},
 		"gshare:8KB:q=3":   {`"q"`, "accepted"},
 		"gshare:8KB:h=x":   {`"h"`},
+		"gshare:8KB:h=65":  {`"h"`, "65"},
+		"gshare:8KB:h=-1":  {`"h"`, "-1"},
+		// n*mult overflowed to 0 here once, canonicalising to "gshare:0B",
+		// which ParseSpec itself rejects.
+		"gshare:17592186044416MB": {`"17592186044416MB"`},
+		"gshare:1048576MB":        {`"1048576MB"`, "16MB"},
 	}
 	for spec, wants := range cases {
 		_, err := ParseSpec(spec)
@@ -208,4 +216,34 @@ func TestEntriesForBytes(t *testing.T) {
 			t.Errorf("entriesForBytes(%d) = %d, want %d", bytes, got, want)
 		}
 	}
+}
+
+// FuzzParseSpec checks the round trip Spec.String documents: every spec
+// ParseSpec accepts has a budget within maxSize and renders to a canonical
+// string that parses back to an equal Spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"gshare", "gshare:16KB:h=8", "GSHARE:16kb", "gag:1K", "taken:16KB",
+		"2bc-gskew:8KB", "gshare:1536", " gshare : 2KB ", "bimodal:16MB",
+		"gshare:17592186044416MB", "gshare:1048576MB", "gshare:8KB:h=64",
+		"tage:8KB:h=1,h=2", "nottaken:h=3", "gshare::8K:",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		if s.Size <= 0 || s.Size > maxSize {
+			t.Fatalf("ParseSpec(%q): size %d outside (0, %d]", in, s.Size, maxSize)
+		}
+		again, err := ParseSpec(s.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q).String() = %q does not reparse: %v", in, s.String(), err)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("ParseSpec(%q) = %+v, but its canonical form %q parses to %+v", in, s, s.String(), again)
+		}
+	})
 }

@@ -67,15 +67,15 @@ func TestCounterHysteresis(t *testing.T) {
 }
 
 func TestStrengthenNeverFlips(t *testing.T) {
-	tb := newTable(2)
+	// Re-enforcement is the partial-update enable on a correct prediction:
+	// a counter moves toward the outcome only if it already agrees with it.
+	strengthen := func(c uint8, d uint64) uint8 { return ctrStep(c, d, partial(0, 1, dir(c), d)) }
 	// counter starts at 1 (not taken); strengthen toward taken must not move it up
-	tb.strengthen(0, true)
-	if c, _ := tb.read(0, 0); c != ctrInit {
+	if c := strengthen(ctrInit, 1); c != ctrInit {
 		t.Fatalf("strengthen flipped/moved a disagreeing counter: %d", c)
 	}
 	// strengthen toward not-taken should move it to 0
-	tb.strengthen(0, false)
-	if c, _ := tb.read(0, 0); c != 0 {
+	if c := strengthen(ctrInit, 0); c != 0 {
 		t.Fatalf("strengthen did not re-enforce an agreeing counter: %d", c)
 	}
 }

@@ -60,6 +60,24 @@ func TestJobSpecNormalizeNamesBadToken(t *testing.T) {
 	}
 }
 
+// TestJobSpecNormalizeRejectsHugeTables: a table budget that overflows, or
+// that no experiment needs and no host could allocate, must stop at the
+// job's front door rather than reach a predictor constructor.
+func TestJobSpecNormalizeRejectsHugeTables(t *testing.T) {
+	for _, pred := range []string{"gshare:17592186044416MB", "gshare:1048576MB"} {
+		s := &JobSpec{Workloads: []string{"compress"}, Inputs: []string{"test"},
+			Predictors: []string{"gshare:8KB", pred}}
+		err := s.Normalize()
+		if err == nil {
+			t.Errorf("Normalize accepted %q as %v", pred, s.Predictors)
+			continue
+		}
+		if size := strings.TrimPrefix(pred, "gshare:"); !strings.Contains(err.Error(), `"`+size+`"`) {
+			t.Errorf("error %q does not name the bad size %q", err, size)
+		}
+	}
+}
+
 func TestJobSpecArmsOrderAndCount(t *testing.T) {
 	s := &JobSpec{
 		Workloads:  []string{"compress", "go"},
