@@ -51,7 +51,7 @@ func (p *GSkew) SizeBits() int {
 // The index step — bank 0 by address, banks 1 and 2 by f1 and f2 of
 // (address, history) — is spelled out here and in RunBlock rather than in
 // one function: that function would cost 141 against the inliner's budget
-// of 80, and calling it from the kernel measured 7% slower per branch.
+// of 80, and calling it from the kernel measured 5–9% slower per branch.
 func (p *GSkew) Predict(pc uint64) bool {
 	a := pcIndex(pc)
 	v1, v2 := p.sk.inputs(a, p.hist.bits)

@@ -11,8 +11,8 @@ import "fmt"
 // bits, GShare both. Each embeds pht for the scalar protocol and has its own
 // block kernel: the same loop with phtIndex's mask and history fixed, so the
 // compiler drops the part of the index the member does not use. (One loop
-// shared by all three, reading the mask and history from pht, measured 14%
-// slower per branch for bimodal and 44% for ghist.)
+// shared by all three, reading the mask and history from pht, measured 15%
+// slower per branch for bimodal and ghist.)
 type pht struct {
 	t         *table
 	hist      ghr

@@ -90,11 +90,11 @@ func (t *table) train(idx, d, en uint64) {
 	t.ctr[i] = ctrStep(t.ctr[i], d, en)
 }
 
-// hoist returns t's counter, tag and switch slices clipped to n entries, the
-// form the block kernels keep in locals: indexed with int(x)&(n-1) after a
-// test that n > 0 (always true of a built table), the clipped slices let the
-// prove pass drop the loop's bounds checks. tags and switches stay nil while
-// their instrumentation is off.
+// hoist returns t's counter, tag and switch slices clipped to n entries, for
+// a block kernel to keep in locals. Clipped slices indexed with int(x)&(n-1),
+// after a check that n > 0 (always true of a built table), let the prove
+// pass drop the loop's bounds checks. tags and switches stay nil while their
+// instrumentation is off.
 func (t *table) hoist(n int) ([]uint8, []uint64, []uint32) {
 	tags, switches := t.tags, t.switches
 	if tags != nil {
