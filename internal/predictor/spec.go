@@ -102,9 +102,8 @@ func optAccepted(k string) bool {
 //	taken, nottaken                             (trivial static baselines)
 //
 // Sizes above 16MB are rejected. Options: h=<n>, 0 ≤ n ≤ 64, sets the gshare
-// global history length. Errors name the
-// offending token: an unknown scheme lists the accepted names, an unknown
-// option key lists the accepted keys.
+// global history length. Errors name the offending token: an unknown scheme
+// lists the accepted names, an unknown option key lists the accepted keys.
 func ParseSpec(spec string) (Spec, error) {
 	parts := strings.Split(spec, ":")
 	name := strings.ToLower(strings.TrimSpace(parts[0]))
