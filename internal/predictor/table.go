@@ -71,8 +71,8 @@ func (t *table) enableStats() {
 // read returns the counter at idx and whether the access collided (the entry
 // was last used by a different PC). It installs pc as the entry's tag.
 func (t *table) read(idx, pc uint64) (ctr uint8, collided bool) {
-	i := int(idx & t.mask)
-	return t.ctr[i], tagReadU(t.tags, t.switches, i, pc) == 1
+	idx &= t.mask
+	return t.ctr[idx], tagReadU(t.tags, t.switches, int(idx), pc) != 0
 }
 
 // taken reports the direction a counter value predicts.
@@ -141,15 +141,14 @@ func ctrStep(c uint8, d, en uint64) uint8 {
 // installs pc as its tag, and counts the ownership switch when switch
 // counting is on. The nil checks are loop-invariant, so the host predicts
 // them; the collision itself is pure arithmetic.
-func tagReadU(tags []uint64, switches []uint32, idx int, pc uint64) uint64 {
-	if tags == nil {
-		return 0
-	}
-	old := tags[idx]
-	tags[idx] = pc + 1
-	col := nz(old) & nz(old^(pc+1))
-	if switches != nil {
-		switches[idx] += uint32(col)
+func tagReadU(tags []uint64, switches []uint32, idx int, pc uint64) (col uint64) {
+	if tags != nil {
+		old := tags[idx]
+		tags[idx] = pc + 1
+		col = nz(old) & nz(old^(pc+1))
+		if switches != nil {
+			switches[idx] += uint32(col)
+		}
 	}
 	return col
 }
