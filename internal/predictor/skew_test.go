@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-// The skewing functions as first written, one definition per symbol with the
+// Reference definitions of the skewing functions, one per symbol, with the
 // masking and degenerate widths handled inside. They are the oracle the
 // production skew methods — precomputed constants, inlinable — must equal.
 

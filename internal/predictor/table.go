@@ -140,7 +140,8 @@ func ctrStep(c uint8, d, en uint64) uint8 {
 // 0/1 whether the (pre-masked) entry was last used by a different PC,
 // installs pc as its tag, and counts the ownership switch when switch
 // counting is on. The nil checks are loop-invariant, so the host predicts
-// them; the collision itself is pure arithmetic.
+// them; the collision itself is pure arithmetic. The single guarded block
+// keeps its inlining cost low enough for table.read to inline as well.
 func tagReadU(tags []uint64, switches []uint32, idx int, pc uint64) (col uint64) {
 	if tags != nil {
 		old := tags[idx]
