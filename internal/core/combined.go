@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"branchsim/internal/pcslot"
 	"branchsim/internal/predictor"
 )
 
@@ -60,6 +61,7 @@ type CombinedStats struct {
 type Combined struct {
 	dyn    predictor.Predictor
 	hints  *HintDB
+	tab    hintTable // hints compiled for lookup; never aliases the HintDB
 	shift  ShiftPolicy
 	stats  CombinedStats
 	shiftr predictor.HistoryShifter      // nil if dyn keeps no global history
@@ -71,9 +73,12 @@ type Combined struct {
 
 // NewCombined wraps dyn with the hint database and shift policy. A nil or
 // empty hints database yields a transparent wrapper (pure dynamic
-// behaviour), which the experiments use as their baseline arm.
+// behaviour), which the experiments use as their baseline arm. The hints
+// are compiled into the wrapper's own lookup table here, once: hints set on
+// the database afterwards do not reach it, and the wrapper never writes the
+// database, which a sweep shares between arms.
 func NewCombined(dyn predictor.Predictor, hints *HintDB, shift ShiftPolicy) *Combined {
-	c := &Combined{dyn: dyn, hints: hints, shift: shift}
+	c := &Combined{dyn: dyn, hints: hints, tab: compileHints(hints), shift: shift}
 	if hs, ok := dyn.(predictor.HistoryShifter); ok {
 		c.shiftr = hs
 	}
@@ -82,6 +87,39 @@ func NewCombined(dyn predictor.Predictor, hints *HintDB, shift ShiftPolicy) *Com
 	}
 	return c
 }
+
+// hintTable is a HintDB compiled for lookup: a pcslot.Index over the hinted
+// addresses and a one-byte code per slot, so a lookup is a multiply and two
+// loads instead of a map probe.
+type hintTable struct {
+	idx pcslot.Index
+	// codes[s+1] is slot s's code; codes[0] answers every miss with 0.
+	codes []uint8
+}
+
+// hintStatic is the code bit of a hinted branch; bit 0 carries its static
+// direction (1 = taken). An unhinted branch has code 0.
+const hintStatic = 2
+
+func compileHints(h *HintDB) hintTable {
+	t := hintTable{codes: make([]uint8, 1, h.Len()+1)}
+	if h == nil {
+		return t
+	}
+	for _, hint := range h.Hints() {
+		t.idx.Add(hint.PC)
+		code := uint8(hintStatic)
+		if hint.Taken {
+			code |= 1
+		}
+		t.codes = append(t.codes, code)
+	}
+	return t
+}
+
+// code returns pc's hint code. It is the probe Predict and the block kernel
+// inline for every branch.
+func (t *hintTable) code(pc uint64) uint8 { return t.codes[t.idx.Slot(pc)+1] }
 
 // Name implements predictor.Predictor.
 func (c *Combined) Name() string {
@@ -108,8 +146,12 @@ func (c *Combined) Stats() CombinedStats { return c.stats }
 
 // Predict implements predictor.Predictor.
 func (c *Combined) Predict(pc uint64) bool {
-	if c.hints != nil {
-		if t, ok := c.hints.Lookup(pc); ok {
+	// The baseline arm, with no hints, skips the probe: telemetry samplers
+	// keep it on this per-event path, where the probe measured ~7% of a
+	// gshare branch's cost.
+	if c.tab.idx.Len() > 0 {
+		if h := c.tab.code(pc); h != 0 {
+			t := h&1 != 0
 			c.lastStatic = true
 			c.lastTaken = t
 			c.stats.StaticExecs++
@@ -148,20 +190,26 @@ func (c *Combined) Reset() {
 	c.lastStatic = false
 }
 
-// Batched implements predictor.BatchProvider. A transparent wrapper — no
-// hints, so every branch flows to the dynamic component — delegates whole
-// blocks to the dynamic predictor's kernel, keeping the baseline arms of a
-// sweep on the fast path. With hints installed the static lookup must run
-// per branch, so the wrapper stays scalar.
+// Batched implements predictor.BatchProvider. The wrapper has a block
+// kernel whenever hinted branches leave the dynamic predictor entirely:
+// under NoShift (the paper's default), with no hints installed, or around a
+// dynamic predictor that keeps no global history to shift. The dynamic
+// component then sees exactly the subsequence of unhinted branches, in
+// order, so the kernel scores hinted branches itself and hands the rest to
+// the dynamic component's own block simulator (predictor.Batch: its native
+// kernel, or the scalar fallback) in one call per 256-branch span. ShiftOutcome and
+// ShiftStatic with hints interleave history shifts with the dynamic
+// component's events, which no dynamic kernel takes, so those stay scalar.
 func (c *Combined) Batched() (predictor.BatchSim, bool) {
-	if c.hints != nil && c.hints.Len() > 0 {
+	hinted := c.tab.idx.Len() > 0
+	if hinted && c.shift != NoShift && c.shiftr != nil {
 		return nil, false
 	}
-	k, native := predictor.Batch(c.dyn)
-	if !native {
-		return nil, false
+	k, _ := predictor.Batch(c.dyn)
+	if !hinted {
+		return &combinedBatch{c: c, k: k}, true
 	}
-	return &combinedBatch{c: c, k: k}, true
+	return &filterBatch{c: c, k: k}, true
 }
 
 // combinedBatch forwards blocks to the dynamic component's kernel while
@@ -176,6 +224,145 @@ type combinedBatch struct {
 func (b *combinedBatch) RunBlock(pcs []uint64, taken []bool, out *predictor.BlockMetrics) {
 	b.c.stats.DynamicExecs += uint64(len(pcs))
 	b.k.RunBlock(pcs, taken, out)
+}
+
+// filterBatch is the static filter's block kernel. It works through a
+// block in spans of up to filterSpan events. A first pass looks up every
+// branch's hint code; a second scores every hinted branch in place and
+// compacts the others, with their positions, into scratch arrays; the
+// dynamic kernel then runs over the compacted span in one call, and its
+// per-event flags are scattered back to their positions when the caller
+// asked for them. Hinted branches never collide: they index no table.
+type filterBatch struct {
+	c *Combined
+	k predictor.BatchSim
+
+	codes    [filterSpan]uint8
+	pcs      [filterSpan]uint64
+	taken    [filterSpan]bool
+	pos      [filterSpan]int32
+	correct  [filterSpan]bool
+	collided [filterSpan]bool
+}
+
+// filterSpan bounds the events one pass of the filter handles, so its
+// scratch arrays (~4KB) are allocated once per kernel, whatever the block
+// length, and stay cache-resident between the passes. On the daemon
+// workload, where every arm builds a kernel, 1024-event spans (16KB of
+// scratch per arm) raised the peak heap by ~5MB more than these.
+const filterSpan = 256
+
+// RunBlock implements predictor.BatchSim.
+func (b *filterBatch) RunBlock(pcs []uint64, taken []bool, out *predictor.BlockMetrics) {
+	n := len(pcs)
+	if n == 0 {
+		return
+	}
+	taken = taken[:n]
+	var correct, collided []bool
+	if out.Correct != nil {
+		correct = out.Correct[:n]
+	}
+	if out.Collided != nil {
+		collided = out.Collided[:n]
+	}
+	for lo := 0; lo < n; lo += filterSpan {
+		hi := min(lo+filterSpan, n)
+		var cor, col []bool
+		if correct != nil {
+			cor = correct[lo:hi]
+		}
+		if collided != nil {
+			col = collided[lo:hi]
+		}
+		b.span(pcs[lo:hi], taken[lo:hi], cor, col, out)
+	}
+	// Leave the wrapper as the scalar protocol would after the block's last
+	// event, so LastCollision and LastConfidence answer for it.
+	last := b.codes[(n-1)%filterSpan]
+	b.c.lastStatic = last != 0
+	b.c.lastTaken = last&1 != 0
+}
+
+// span runs the filter over at most filterSpan events, adding its scores
+// to out and, when correct or collided is non-nil, each event's flags.
+func (b *filterBatch) span(pcs []uint64, taken, correct, collided []bool, out *predictor.BlockMetrics) {
+	n := len(pcs)
+	taken = taken[:n]
+	codes, dpcs, dtaken, dpos := b.codes[:n], b.pcs[:n], b.taken[:n], b.pos[:n]
+
+	// The lookups get a pass of their own: the compaction cursor below
+	// depends on every code before it, and a probe inside that loop would
+	// chain each event's lookup latency onto the next.
+	tab := &b.c.tab
+	for i, pc := range pcs {
+		codes[i] = tab.code(pc)
+	}
+	// Branch-free: every event is written to the compacted arrays, and m
+	// advances past it only when unhinted. A hinted event's flags are final
+	// here; an unhinted event's are overwritten by the scatter below.
+	flags := correct != nil || collided != nil
+	var m int
+	var static, bad, tk uint64
+	for i, h := range codes {
+		o := b2u(taken[i])
+		st := uint64(h >> 1)
+		miss := st & (uint64(h&1) ^ o)
+		static += st
+		bad += miss
+		tk += st & o
+		if flags {
+			if correct != nil {
+				correct[i] = miss == 0
+			}
+			if collided != nil {
+				collided[i] = false
+			}
+			dpos[m] = int32(i)
+		}
+		dpcs[m], dtaken[m] = pcs[i], taken[i]
+		m += int(st ^ 1)
+	}
+
+	var dm predictor.BlockMetrics
+	if correct != nil {
+		dm.Correct = b.correct[:m]
+	}
+	if collided != nil {
+		dm.Collided = b.collided[:m]
+	}
+	if m > 0 {
+		b.k.RunBlock(dpcs[:m], dtaken[:m], &dm)
+	}
+	if correct != nil {
+		for j, ok := range dm.Correct {
+			correct[dpos[j]] = ok
+		}
+	}
+	if collided != nil {
+		for j, col := range dm.Collided {
+			collided[dpos[j]] = col
+		}
+	}
+
+	out.Mispredicts += bad + dm.Mispredicts
+	out.Collisions += dm.Collisions
+	out.Constructive += dm.Constructive
+	out.Destructive += dm.Destructive
+	out.TakenCount += tk + dm.TakenCount
+
+	c := b.c
+	c.stats.StaticExecs += static
+	c.stats.StaticMispred += bad
+	c.stats.DynamicExecs += uint64(m)
+}
+
+// b2u converts a bool to 0/1 (the compiler lowers this branch-free).
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // EnableCollisionTracking implements predictor.Collider if the dynamic

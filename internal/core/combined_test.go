@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"branchsim/internal/predictor"
@@ -202,5 +203,93 @@ func TestShiftPolicyString(t *testing.T) {
 		if p.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(p), p.String(), want)
 		}
+	}
+}
+
+// TestCombinedBatchedPolicy pins when the wrapper has a block kernel:
+// whenever a hinted branch leaves the dynamic predictor untouched — no
+// hints, NoShift, or a dynamic predictor with no history to shift — with
+// or without a native kernel behind it.
+func TestCombinedBatchedPolicy(t *testing.T) {
+	hints := hintsWith(0x100, true)
+	for _, c := range []struct {
+		dyn   string
+		hints *HintDB
+		shift ShiftPolicy
+		want  bool
+	}{
+		{"gshare:1KB", nil, ShiftOutcome, true},
+		{"gshare:1KB", hints, NoShift, true},
+		{"gshare:1KB", hints, ShiftOutcome, false},
+		{"gshare:1KB", hints, ShiftStatic, false},
+		{"bimodal:1KB", hints, ShiftOutcome, true},
+		{"tage:1KB", hints, NoShift, true},
+		{"tage:1KB", hints, ShiftStatic, false},
+	} {
+		_, got := NewCombined(predictor.MustNew(c.dyn), c.hints, c.shift).Batched()
+		if got != c.want {
+			t.Errorf("%s hints=%d %s: Batched ok = %v, want %v", c.dyn, c.hints.Len(), c.shift, got, c.want)
+		}
+	}
+}
+
+// TestCombinedBlockKernel drives the filter's block kernel over a spy:
+// hinted branches are scored in place, only the others reach the dynamic
+// component, and every per-event flag lands at its own position.
+func TestCombinedBlockKernel(t *testing.T) {
+	spy := &spyPredictor{ret: true}
+	h := NewHintDB("w", "static95", "t")
+	h.Set(0x100, true)
+	h.Set(0x104, false)
+	c := NewCombined(spy, h, NoShift)
+	k, native := predictor.Batch(c)
+	if !native {
+		t.Fatal("hinted NoShift wrapper has no block kernel")
+	}
+	pcs := []uint64{0x100, 0x200, 0x104, 0x100, 0x204, 0x104}
+	taken := []bool{true, false, true, false, true, false}
+	// static: right, wrong, wrong, right; dynamic (spy says taken): wrong, right
+	var bm predictor.BlockMetrics
+	bm.Correct, bm.Collided = make([]bool, len(pcs)), make([]bool, len(pcs))
+	for i := range bm.Collided {
+		bm.Collided[i] = true // stale values must be overwritten
+	}
+	k.RunBlock(pcs, taken, &bm)
+	if want := []bool{true, false, false, false, true, true}; !reflect.DeepEqual(bm.Correct, want) {
+		t.Errorf("Correct = %v, want %v", bm.Correct, want)
+	}
+	if want := make([]bool, len(pcs)); !reflect.DeepEqual(bm.Collided, want) {
+		t.Errorf("Collided = %v, want all false", bm.Collided)
+	}
+	if bm.Mispredicts != 3 || bm.TakenCount != 3 || bm.Collisions != 0 {
+		t.Errorf("block metrics %+v", bm)
+	}
+	if spy.predicts != 2 || spy.updates != 2 {
+		t.Errorf("dynamic component saw %d predicts, %d updates; want 2, 2", spy.predicts, spy.updates)
+	}
+	if st := c.Stats(); st != (CombinedStats{StaticExecs: 4, StaticMispred: 2, DynamicExecs: 2}) {
+		t.Errorf("stats = %+v", st)
+	}
+	if !c.lastStatic || c.lastTaken {
+		t.Errorf("wrapper left as if its last branch were not the static not-taken 0x104")
+	}
+}
+
+// TestCombinedCompilesHintsOnce: the wrapper reads the hint database once,
+// when built, and never writes it.
+func TestCombinedCompilesHintsOnce(t *testing.T) {
+	h := hintsWith(0x100, true)
+	before := h.Hints()
+	c := NewCombined(&spyPredictor{}, h, NoShift)
+	h.Set(0x200, true)
+	c.Predict(0x200)
+	c.Update(0x200, true)
+	if st := c.Stats(); st.StaticExecs != 0 || st.DynamicExecs != 1 {
+		t.Errorf("a hint set after NewCombined reached the wrapper: %+v", st)
+	}
+	c.Predict(0x100)
+	c.Update(0x100, true)
+	if got := h.Hints(); len(got) != 2 || got[0] != before[0] {
+		t.Errorf("hint database changed: %v", got)
 	}
 }

@@ -343,6 +343,7 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 					return nil, err
 				}
 				db.Instructions = rec.instr
+				db.Flush()
 			} else {
 				var r *sim.Runner
 				phase, err = h.feed(armCtx, span, prog, input, func() (trace.Recorder, error) {
@@ -407,11 +408,10 @@ func (b *biasOnly) Ops(n uint64) { b.instr += n }
 
 // RunBlock implements trace.BlockSink.
 func (b *biasOnly) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
-	taken, ops = taken[:len(pcs)], ops[:len(pcs)]
-	for i, pc := range pcs {
-		b.instr += ops[i] + 1
-		b.db.Record(pc, taken[i])
+	for _, n := range ops[:len(pcs)] {
+		b.instr += n + 1
 	}
+	b.db.RecordBlock(pcs, taken, nil, nil)
 }
 
 // Arm describes one measured configuration.

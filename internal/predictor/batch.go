@@ -97,10 +97,11 @@ type BatchSim interface {
 }
 
 // BatchProvider is implemented by wrappers that can sometimes expose a
-// native kernel — e.g. a combined static+dynamic predictor whose hint
-// database is empty delegates whole blocks to its dynamic component.
-// Batched returns (kernel, true) when delegation is exact, (nil, false)
-// when the wrapper must stay on the scalar path.
+// block kernel of their own — e.g. the combined static+dynamic predictor,
+// which scores hinted branches itself and hands the rest to its dynamic
+// component's block simulator whenever hinted branches leave that
+// component untouched. Batched returns (kernel, true) when the kernel is
+// exact, (nil, false) when the wrapper must stay on the scalar path.
 type BatchProvider interface {
 	Batched() (BatchSim, bool)
 }

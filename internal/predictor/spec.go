@@ -102,8 +102,11 @@ func optAccepted(k string) bool {
 //	taken, nottaken                             (trivial static baselines)
 //
 // Sizes above 16MB are rejected. Options: h=<n>, 0 ≤ n ≤ 64, sets the gshare
-// global history length. Errors name the offending token: an unknown scheme
-// lists the accepted names, an unknown option key lists the accepted keys.
+// global history length; other schemes reject it. An h at or above the
+// table's index width is the full-width default, so it is dropped and the
+// spec keeps the default's canonical form. Errors name the offending token:
+// an unknown scheme lists the accepted names, an unknown option key lists
+// the accepted keys.
 func ParseSpec(spec string) (Spec, error) {
 	parts := strings.Split(spec, ":")
 	name := strings.ToLower(strings.TrimSpace(parts[0]))
@@ -148,6 +151,20 @@ func ParseSpec(spec string) (Spec, error) {
 			return Spec{}, fmt.Errorf("predictor: spec %q: %w", spec, err)
 		}
 		s.Size = n
+	}
+	if h, ok := s.Opts["h"]; ok {
+		// One predictor, one canonical key: h is gshare's alone, and
+		// NewGShareHist clamps it to the index width, where it builds the
+		// same predictor as no h at all.
+		if name != "gshare" {
+			return Spec{}, fmt.Errorf("predictor: spec %q: option %q does not apply to scheme %q (only gshare reads it)", spec, "h", name)
+		}
+		if h >= log2(entriesForBytes(s.Size)) {
+			delete(s.Opts, "h")
+			if len(s.Opts) == 0 {
+				s.Opts = nil
+			}
+		}
 	}
 	if schemes[name].sizeless {
 		// The size is ignored and String drops it; keep the parse of the

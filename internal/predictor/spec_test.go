@@ -138,6 +138,12 @@ func TestSpecStringRoundTrip(t *testing.T) {
 		"combining:2KB":   "mcfarling:2KB",
 		" gshare : 2KB ":  "gshare:2KB", // whitespace tolerated
 		"gshare:1536":     "gshare:1536B",
+		// An h at or above the index width is the full-width default
+		// (NewGShareHist clamps it), so it is dropped: one predictor, one key.
+		"gshare:1KB:h=20": "gshare:1KB",
+		"gshare:1KB:h=12": "gshare:1KB",
+		"gshare:1KB:h=11": "gshare:1KB:h=11",
+		"gshare:h=64:1KB": "gshare:1KB",
 	}
 	for in, want := range cases {
 		spec, err := ParseSpec(in)
@@ -188,6 +194,11 @@ func TestSpecErrorsNameOffendingToken(t *testing.T) {
 		// which ParseSpec itself rejects.
 		"gshare:17592186044416MB": {`"17592186044416MB"`},
 		"gshare:1048576MB":        {`"1048576MB"`, "16MB"},
+		// h is gshare's alone: on any other scheme it would build the same
+		// predictor as the spec without it, under a second key.
+		"bimodal:8KB:h=3": {`"h"`, `"bimodal"`},
+		"tage:8KB:h=1":    {`"h"`, `"tage"`},
+		"nottaken:h=3":    {`"h"`, `"nottaken"`},
 	}
 	for spec, wants := range cases {
 		_, err := ParseSpec(spec)
@@ -227,6 +238,7 @@ func FuzzParseSpec(f *testing.F) {
 		"2bc-gskew:8KB", "gshare:1536", " gshare : 2KB ", "bimodal:16MB",
 		"gshare:17592186044416MB", "gshare:1048576MB", "gshare:8KB:h=64",
 		"tage:8KB:h=1,h=2", "nottaken:h=3", "gshare::8K:",
+		"bimodal:8KB:h=3", "gshare:1KB:h=20", "gshare:1KB:h=12", "gshare:1KB:h=11",
 	} {
 		f.Add(seed)
 	}
@@ -244,6 +256,21 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, s) {
 			t.Fatalf("ParseSpec(%q) = %+v, but its canonical form %q parses to %+v", in, s, s.String(), again)
+		}
+		// One predictor, one key: an option the canonical form keeps must
+		// change the predictor it builds.
+		if len(s.Opts) == 0 {
+			return
+		}
+		plain := s
+		plain.Opts = nil
+		p, err := s.Build()
+		if err != nil {
+			t.Fatalf("ParseSpec(%q).Build: %v", in, err)
+		}
+		q, _ := plain.Build()
+		if p.Name() == q.Name() {
+			t.Fatalf("ParseSpec(%q) = %q builds the same %q predictor as %q", in, s.String(), p.Name(), plain.String())
 		}
 	})
 }

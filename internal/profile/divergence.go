@@ -35,8 +35,9 @@ func Diverge(train, ref *DB) Divergence {
 
 	var covS, flipS, smallS, largeS uint64
 	var covD, flipD, smallD, largeD uint64
-	for pc, rb := range ref.byPC {
-		tb := train.byPC[pc]
+	trainPCs := train.all()
+	for pc, rb := range ref.all() {
+		tb := trainPCs[pc]
 		if tb == nil {
 			continue
 		}
@@ -81,7 +82,7 @@ func (d *DB) HighlyBiasedDynamicFraction(cutoff float64) float64 {
 		return 0
 	}
 	var biased uint64
-	for _, b := range d.byPC {
+	for _, b := range d.all() {
 		if b.Bias() > cutoff {
 			biased += b.Exec
 		}

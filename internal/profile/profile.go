@@ -11,6 +11,8 @@ package profile
 import (
 	"fmt"
 	"sort"
+
+	"branchsim/internal/pcslot"
 )
 
 // BranchStats accumulates the behaviour of one static conditional branch.
@@ -69,6 +71,13 @@ func (b *BranchStats) LowConfRate() float64 {
 
 // DB is a profile database for one (workload, input) pair, optionally
 // annotated with per-branch accuracy of one dynamic predictor.
+//
+// Recording does not touch the per-branch records: executions accumulate in
+// a recorder of dense per-slot counters (see recorder) and are folded into
+// them before anything reads the database. Every reading method folds first,
+// so a DB filled and read by one goroutine needs no ceremony; a producer
+// that hands the DB to concurrent readers calls Flush first, so that reads
+// never write.
 type DB struct {
 	Workload     string `json:"workload"`
 	Input        string `json:"input"`
@@ -76,6 +85,7 @@ type DB struct {
 	Instructions uint64 `json:"instructions"`
 
 	byPC map[uint64]*BranchStats
+	rec  *recorder // nil when nothing is pending
 }
 
 // NewDB returns an empty database.
@@ -84,15 +94,15 @@ func NewDB(workload, input string) *DB {
 }
 
 // Get returns the stats for pc, or nil if the branch never executed.
-func (d *DB) Get(pc uint64) *BranchStats { return d.byPC[pc] }
+func (d *DB) Get(pc uint64) *BranchStats { return d.all()[pc] }
 
 // Len returns the number of static branches recorded.
-func (d *DB) Len() int { return len(d.byPC) }
+func (d *DB) Len() int { return len(d.all()) }
 
 // DynamicBranches returns the total dynamic conditional branch count.
 func (d *DB) DynamicBranches() uint64 {
 	var n uint64
-	for _, b := range d.byPC {
+	for _, b := range d.all() {
 		n += b.Exec
 	}
 	return n
@@ -100,17 +110,27 @@ func (d *DB) DynamicBranches() uint64 {
 
 // Branches returns all recorded branches sorted by PC.
 func (d *DB) Branches() []*BranchStats {
-	out := make([]*BranchStats, 0, len(d.byPC))
-	for _, b := range d.byPC {
+	all := d.all()
+	out := make([]*BranchStats, 0, len(all))
+	for _, b := range all {
 		out = append(out, b)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
 	return out
 }
 
+// all returns the per-branch records with every pending execution folded
+// in. Every method that reads byPC goes through it.
+func (d *DB) all() map[uint64]*BranchStats {
+	if d.rec != nil {
+		d.Flush()
+	}
+	return d.byPC
+}
+
 // stats returns the record for pc, creating it on first use.
 func (d *DB) stats(pc uint64) *BranchStats {
-	b := d.byPC[pc]
+	b := d.all()[pc]
 	if b == nil {
 		b = &BranchStats{PC: pc}
 		d.byPC[pc] = b
@@ -118,48 +138,194 @@ func (d *DB) stats(pc uint64) *BranchStats {
 	return b
 }
 
+// recorder is where executions land until the next fold: one column per
+// counter, indexed by the branch's slot in a pcslot.Index, so recording an
+// execution costs a multiply, a table load and a few adds instead of a map
+// lookup, and a pass touches only the columns it counts (the bias pass two
+// of five).
+type recorder struct {
+	idx                                 pcslot.Index
+	exec, taken, correct, dcol, lowconf []uint64
+}
+
+// add gives pc a slot.
+func (r *recorder) add(pc uint64) int {
+	r.exec = append(r.exec, 0)
+	r.taken = append(r.taken, 0)
+	r.correct = append(r.correct, 0)
+	r.dcol = append(r.dcol, 0)
+	r.lowconf = append(r.lowconf, 0)
+	return r.idx.Add(pc)
+}
+
+// probe returns the recorder and pc's slot in it, or a slot of -1 when
+// there is no recorder yet or pc has no slot in it. It is the per-event
+// recording paths' lookup, and it inlines; slot handles the miss.
+func (d *DB) probe(pc uint64) (*recorder, int) {
+	r := d.rec
+	if r == nil {
+		return nil, -1
+	}
+	return r, r.idx.Slot(pc)
+}
+
+// slot returns the recorder and pc's slot in it, creating either on first
+// use.
+func (d *DB) slot(pc uint64) (*recorder, int) {
+	r := d.rec
+	if r == nil {
+		r = &recorder{}
+		d.rec = r
+	}
+	if s := r.idx.Slot(pc); s >= 0 {
+		return r, s
+	}
+	return r, r.add(pc)
+}
+
+// Flush folds every pending execution into the per-branch records. Reading
+// methods flush on their own; a producer calls Flush before sharing the
+// DB with concurrent readers.
+func (d *DB) Flush() {
+	r := d.rec
+	if r == nil {
+		return
+	}
+	d.rec = nil
+	for s, pc := range r.idx.PCs() {
+		b := d.byPC[pc]
+		if b == nil {
+			b = &BranchStats{PC: pc}
+			d.byPC[pc] = b
+		}
+		b.Exec += r.exec[s]
+		b.Taken += r.taken[s]
+		b.Correct += r.correct[s]
+		b.Dcol += r.dcol[s]
+		b.LowConf += r.lowconf[s]
+	}
+}
+
 // Record adds one dynamic execution of the branch at pc.
 func (d *DB) Record(pc uint64, taken bool) {
-	b := d.stats(pc)
-	b.Exec++
-	if taken {
-		b.Taken++
+	r, s := d.probe(pc)
+	if s < 0 {
+		r, s = d.slot(pc)
 	}
+	r.exec[s]++
+	r.taken[s] += b2u(taken)
 }
 
 // RecordPredicted adds one dynamic execution together with whether the
 // phase-1 predictor got it right.
 func (d *DB) RecordPredicted(pc uint64, taken, correct bool) {
-	b := d.stats(pc)
-	b.Exec++
-	if taken {
-		b.Taken++
+	r, s := d.probe(pc)
+	if s < 0 {
+		r, s = d.slot(pc)
 	}
-	if correct {
-		b.Correct++
+	r.exec[s]++
+	r.taken[s] += b2u(taken)
+	r.correct[s] += b2u(correct)
+}
+
+// RecordBlock records a block of executions in program order: the branch
+// at pcs[i] resolved taken[i]. correct, when non-nil, holds whether the
+// phase-1 predictor got each one right, as RecordPredicted; collided, when
+// non-nil, marks the executions whose lookup collided, and each of those
+// the predictor got wrong is a destructive collision, as
+// RecordDestructiveCollision. collided needs correct.
+//
+// The loops keep the index and the columns in locals, refreshed only when
+// a new branch gets a slot: read through the recorder, every column store
+// forces the next event to reload them all, and one loop over the recorder
+// with the nil checks inside measured 20–40% slower per event.
+func (d *DB) RecordBlock(pcs []uint64, taken, correct, collided []bool) {
+	if len(pcs) == 0 {
+		return
 	}
+	r := d.rec
+	if r == nil {
+		r = &recorder{}
+		d.rec = r
+	}
+	taken = taken[:len(pcs)]
+	idx, exec, tk := r.idx, r.exec, r.taken
+	switch {
+	case correct == nil:
+		for i, pc := range pcs {
+			s := idx.Slot(pc)
+			if s < 0 {
+				s = r.add(pc)
+				idx, exec, tk = r.idx, r.exec, r.taken
+			}
+			exec[s]++
+			tk[s] += b2u(taken[i])
+		}
+	case collided == nil:
+		correct = correct[:len(pcs)]
+		cor := r.correct
+		for i, pc := range pcs {
+			s := idx.Slot(pc)
+			if s < 0 {
+				s = r.add(pc)
+				idx, exec, tk, cor = r.idx, r.exec, r.taken, r.correct
+			}
+			exec[s]++
+			tk[s] += b2u(taken[i])
+			cor[s] += b2u(correct[i])
+		}
+	default:
+		correct, collided = correct[:len(pcs)], collided[:len(pcs)]
+		cor, dcol := r.correct, r.dcol
+		for i, pc := range pcs {
+			s := idx.Slot(pc)
+			if s < 0 {
+				s = r.add(pc)
+				idx, exec, tk, cor, dcol = r.idx, r.exec, r.taken, r.correct, r.dcol
+			}
+			ok := b2u(correct[i])
+			exec[s]++
+			tk[s] += b2u(taken[i])
+			cor[s] += ok
+			dcol[s] += b2u(collided[i]) &^ ok
+		}
+	}
+}
+
+// b2u converts a bool to 0/1 (the compiler lowers this branch-free).
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // RecordDestructiveCollision notes that the branch at pc suffered a
 // destructive collision in the phase-1 predictor (its lookup aliased with
 // another branch and the prediction was wrong). Used by the
 // collision-targeted selection scheme.
-func (d *DB) RecordDestructiveCollision(pc uint64) { d.stats(pc).Dcol++ }
+func (d *DB) RecordDestructiveCollision(pc uint64) {
+	r, s := d.slot(pc)
+	r.dcol[s]++
+}
 
 // RecordLowConfidence notes that the phase-1 predictor graded one execution
 // of the branch at pc as low confidence. Used by the confidence-based
 // selection scheme (Static_Conf).
-func (d *DB) RecordLowConfidence(pc uint64) { d.stats(pc).LowConf++ }
+func (d *DB) RecordLowConfidence(pc uint64) {
+	r, s := d.slot(pc)
+	r.lowconf[s]++
+}
 
 // Remove deletes the branch at pc from the database.
-func (d *DB) Remove(pc uint64) { delete(d.byPC, pc) }
+func (d *DB) Remove(pc uint64) { delete(d.all(), pc) }
 
 // Clone returns a deep copy.
 func (d *DB) Clone() *DB {
 	out := NewDB(d.Workload, d.Input)
 	out.Predictor = d.Predictor
 	out.Instructions = d.Instructions
-	for pc, b := range d.byPC {
+	for pc, b := range d.all() {
 		cp := *b
 		out.byPC[pc] = &cp
 	}
@@ -180,7 +346,7 @@ func (d *DB) Merge(other *DB) {
 		d.Predictor = ""
 	}
 	d.Instructions += other.Instructions
-	for pc, ob := range other.byPC {
+	for pc, ob := range other.all() {
 		b := d.stats(pc)
 		b.Exec += ob.Exec
 		b.Taken += ob.Taken
@@ -213,8 +379,8 @@ func (d *DB) Merge(other *DB) {
 // stable across inputs. It returns the number of branches removed.
 func (d *DB) RemoveUnstable(other *DB, maxDrift float64) int {
 	removed := 0
-	for pc, b := range d.byPC {
-		ob := other.byPC[pc]
+	for pc, b := range d.all() {
+		ob := other.all()[pc]
 		if ob == nil {
 			continue
 		}
@@ -233,7 +399,7 @@ func (d *DB) RemoveUnstable(other *DB, maxDrift float64) int {
 // Validate performs internal consistency checks and returns the first
 // problem found.
 func (d *DB) Validate() error {
-	for pc, b := range d.byPC {
+	for pc, b := range d.all() {
 		if b.PC != pc {
 			return fmt.Errorf("profile: key %#x holds record for pc %#x", pc, b.PC)
 		}

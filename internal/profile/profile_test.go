@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -354,5 +355,111 @@ func TestRecordDestructiveCollision(t *testing.T) {
 	db.RecordDestructiveCollision(1)
 	if db.Get(1).Dcol != 1 {
 		t.Fatalf("dcol = %d", db.Get(1).Dcol)
+	}
+}
+
+// TestRecordBlockMatchesPerEvent records one stream three ways — per event,
+// in blocks, and mixed with reads in between — and requires identical
+// databases: the block recorder is RecordPredicted plus
+// RecordDestructiveCollision, and a read folds pending executions without
+// changing what later records add up to.
+func TestRecordBlockMatchesPerEvent(t *testing.T) {
+	rng := xrand.New(17)
+	const n = 3000
+	pcs := make([]uint64, n)
+	taken, correct, collided := make([]bool, n), make([]bool, n), make([]bool, n)
+	for i := range pcs {
+		pcs[i] = 0x1000 + 4*uint64(rng.Intn(200))
+		taken[i] = rng.Intn(3) != 0
+		correct[i] = rng.Intn(4) != 0
+		collided[i] = rng.Intn(5) == 0
+	}
+	for _, mode := range []struct {
+		name              string
+		correct, collided bool
+	}{{"bias", false, false}, {"predicted", true, false}, {"collisions", true, true}} {
+		want := NewDB("w", "i")
+		for i, pc := range pcs {
+			switch {
+			case !mode.correct:
+				want.Record(pc, taken[i])
+			default:
+				want.RecordPredicted(pc, taken[i], correct[i])
+				if mode.collided && collided[i] && !correct[i] {
+					want.RecordDestructiveCollision(pc)
+				}
+			}
+		}
+		want.Flush()
+		var cor, col []bool
+		if mode.correct {
+			cor = correct
+		}
+		if mode.collided {
+			col = collided
+		}
+		for _, cut := range []int{1, 7, 512, n} {
+			got := NewDB("w", "i")
+			for i := 0; i < n; i += cut {
+				e := min(i+cut, n)
+				var c, d []bool
+				if cor != nil {
+					c = cor[i:e]
+				}
+				if col != nil {
+					d = col[i:e]
+				}
+				got.RecordBlock(pcs[i:e], taken[i:e], c, d)
+				if i%(4*cut) == 0 {
+					got.Len() // a read mid-stream folds what is pending
+				}
+			}
+			got.Flush()
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s cut=%d: block-recorded profile differs", mode.name, cut)
+			}
+		}
+	}
+}
+
+// TestReadsFoldPendingRecords checks every reader sees executions recorded
+// since the last fold, with no explicit Flush.
+func TestReadsFoldPendingRecords(t *testing.T) {
+	fresh := func() *DB {
+		d := NewDB("w", "i")
+		d.Predictor = "p"
+		d.RecordPredicted(0x10, true, true)
+		d.RecordLowConfidence(0x10)
+		d.RecordBlock([]uint64{0x10, 0x14}, []bool{true, false}, []bool{false, true}, []bool{true, true})
+		return d
+	}
+	if b := fresh().Get(0x10); b == nil || *b != (BranchStats{PC: 0x10, Exec: 2, Taken: 2, Correct: 1, Dcol: 1, LowConf: 1}) {
+		t.Errorf("Get = %+v", b)
+	}
+	if n := fresh().Len(); n != 2 {
+		t.Errorf("Len = %d", n)
+	}
+	if n := fresh().DynamicBranches(); n != 3 {
+		t.Errorf("DynamicBranches = %d", n)
+	}
+	if bs := fresh().Branches(); len(bs) != 2 || bs[1].PC != 0x14 {
+		t.Errorf("Branches = %v", bs)
+	}
+	if c := fresh().Clone(); c.Len() != 2 || c.Get(0x14).Exec != 1 {
+		t.Errorf("Clone lost pending records")
+	}
+	m := fresh()
+	m.Merge(fresh())
+	if b := m.Get(0x10); b.Exec != 4 || b.Correct != 2 {
+		t.Errorf("Merge = %+v", b)
+	}
+	r := fresh()
+	r.Remove(0x14)
+	if r.Len() != 1 {
+		t.Errorf("Remove of a pending branch left %d branches", r.Len())
+	}
+	var buf bytes.Buffer
+	if err := fresh().Save(&buf); err != nil || !strings.Contains(buf.String(), `"pc": 20`) {
+		t.Errorf("Save lost pending records: %v\n%s", err, buf.String())
 	}
 }

@@ -349,13 +349,11 @@ func (r *Runner) RunBlockSummed(pcs []uint64, taken []bool, ops []uint64, opsSum
 	r.metrics.TakenCount += bm.TakenCount
 
 	if r.prof != nil {
-		for i, pc := range pcs {
-			correct := bm.Correct[i]
-			r.prof.RecordPredicted(pc, taken[i], correct)
-			if tracked && !correct && bm.Collided[i] {
-				r.prof.RecordDestructiveCollision(pc)
-			}
+		var collided []bool // destructive collisions count only when tracked
+		if tracked {
+			collided = bm.Collided
 		}
+		r.prof.RecordBlock(pcs, taken, bm.Correct, collided)
 	}
 	if r.tel != nil {
 		for i, pc := range pcs {
@@ -401,10 +399,13 @@ func (r *Runner) Ops(n uint64) {
 }
 
 // Metrics returns a snapshot of the accumulated results. When profiling is
-// enabled it also stamps the profile database with the instruction total.
+// enabled it also stamps the profile database with the instruction total
+// and flushes its recorded executions, so the database is ready for
+// concurrent readers.
 func (r *Runner) Metrics() Metrics {
 	if r.prof != nil {
 		r.prof.Instructions = r.metrics.Instructions
+		r.prof.Flush()
 	}
 	if r.obsEvents != nil {
 		r.flushObs()
