@@ -100,7 +100,9 @@ func WorkloadByName(name string) (Program, error) { return workload.Get(name) }
 
 // Combine wraps a dynamic predictor with static hints under the given shift
 // policy — the paper's combined scheme. hints may be nil for a transparent
-// baseline wrapper.
+// baseline wrapper. The wrapper takes a snapshot of the hints: hints set on
+// the database afterwards do not reach it, and it never writes the
+// database, so one database can be shared by many wrappers.
 func Combine(dyn Predictor, hints *HintDB, shift ShiftPolicy) *Combined {
 	return core.NewCombined(dyn, hints, shift)
 }

@@ -60,7 +60,7 @@ type CombinedStats struct {
 // swept and measured exactly like a bare dynamic predictor.
 type Combined struct {
 	dyn    predictor.Predictor
-	hints  *HintDB
+	scheme string    // the hints' selection scheme, "none" without hints
 	tab    hintTable // hints compiled for lookup; never aliases the HintDB
 	shift  ShiftPolicy
 	stats  CombinedStats
@@ -78,7 +78,10 @@ type Combined struct {
 // the database afterwards do not reach it, and the wrapper never writes the
 // database, which a sweep shares between arms.
 func NewCombined(dyn predictor.Predictor, hints *HintDB, shift ShiftPolicy) *Combined {
-	c := &Combined{dyn: dyn, hints: hints, tab: compileHints(hints), shift: shift}
+	c := &Combined{dyn: dyn, scheme: "none", tab: compileHints(hints), shift: shift}
+	if c.tab.idx.Len() > 0 {
+		c.scheme = hints.Scheme
+	}
 	if hs, ok := dyn.(predictor.HistoryShifter); ok {
 		c.shiftr = hs
 	}
@@ -121,16 +124,13 @@ func compileHints(h *HintDB) hintTable {
 // inline for every branch.
 func (t *hintTable) code(pc uint64) uint8 { return t.codes[t.idx.Slot(pc)+1] }
 
-// Name implements predictor.Predictor.
+// Name implements predictor.Predictor. The scheme in it is the one the
+// hints carried at construction, "none" when there were none.
 func (c *Combined) Name() string {
-	scheme := "none"
-	if c.hints != nil && c.hints.Len() > 0 {
-		scheme = c.hints.Scheme
-	}
 	if c.shift == NoShift {
-		return fmt.Sprintf("%s+%s", c.dyn.Name(), scheme)
+		return fmt.Sprintf("%s+%s", c.dyn.Name(), c.scheme)
 	}
-	return fmt.Sprintf("%s+%s(%s)", c.dyn.Name(), scheme, c.shift)
+	return fmt.Sprintf("%s+%s(%s)", c.dyn.Name(), c.scheme, c.shift)
 }
 
 // SizeBits implements predictor.Predictor. Hint bits live in the
@@ -305,7 +305,7 @@ func (b *filterBatch) span(pcs []uint64, taken, correct, collided []bool, out *p
 	var m int
 	var static, bad, tk uint64
 	for i, h := range codes {
-		o := b2u(taken[i])
+		o := pcslot.Bit(taken[i])
 		st := uint64(h >> 1)
 		miss := st & (uint64(h&1) ^ o)
 		static += st
@@ -355,14 +355,6 @@ func (b *filterBatch) span(pcs []uint64, taken, correct, collided []bool, out *p
 	c.stats.StaticExecs += static
 	c.stats.StaticMispred += bad
 	c.stats.DynamicExecs += uint64(m)
-}
-
-// b2u converts a bool to 0/1 (the compiler lowers this branch-free).
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // EnableCollisionTracking implements predictor.Collider if the dynamic

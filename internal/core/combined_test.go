@@ -276,12 +276,18 @@ func TestCombinedBlockKernel(t *testing.T) {
 }
 
 // TestCombinedCompilesHintsOnce: the wrapper reads the hint database once,
-// when built, and never writes it.
+// when built, never writes it, and is named for the hints it read.
 func TestCombinedCompilesHintsOnce(t *testing.T) {
 	h := hintsWith(0x100, true)
 	before := h.Hints()
 	c := NewCombined(&spyPredictor{}, h, NoShift)
 	h.Set(0x200, true)
+	empty := NewHintDB("w", "static95", "train")
+	bare := NewCombined(&spyPredictor{}, empty, NoShift)
+	empty.Set(0x100, true)
+	if got, want := bare.Name(), (&spyPredictor{}).Name()+"+none"; got != want {
+		t.Errorf("a wrapper built without hints is named %q, want %q", got, want)
+	}
 	c.Predict(0x200)
 	c.Update(0x200, true)
 	if st := c.Stats(); st.StaticExecs != 0 || st.DynamicExecs != 1 {

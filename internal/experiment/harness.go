@@ -343,7 +343,6 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 					return nil, err
 				}
 				db.Instructions = rec.instr
-				db.Flush()
 			} else {
 				var r *sim.Runner
 				phase, err = h.feed(armCtx, span, prog, input, func() (trace.Recorder, error) {

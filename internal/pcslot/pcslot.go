@@ -109,3 +109,13 @@ func (x *Index) Len() int { return len(x.pcs) }
 // PCs returns the added addresses in slot order: PCs()[s] is slot s's
 // address. The slice is the index's own; callers must not modify it.
 func (x *Index) PCs() []uint64 { return x.pcs }
+
+// Bit returns 1 for true and 0 for false; the compiler lowers it
+// branch-free. The slot-indexed loops count outcomes with it, which the
+// host cannot predict.
+func Bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -35,9 +35,8 @@ func Diverge(train, ref *DB) Divergence {
 
 	var covS, flipS, smallS, largeS uint64
 	var covD, flipD, smallD, largeD uint64
-	trainPCs := train.all()
-	for pc, rb := range ref.all() {
-		tb := trainPCs[pc]
+	for pc, rb := range ref.byPC {
+		tb := train.byPC[pc]
 		if tb == nil {
 			continue
 		}
@@ -82,7 +81,7 @@ func (d *DB) HighlyBiasedDynamicFraction(cutoff float64) float64 {
 		return 0
 	}
 	var biased uint64
-	for _, b := range d.all() {
+	for _, b := range d.byPC {
 		if b.Bias() > cutoff {
 			biased += b.Exec
 		}

@@ -72,12 +72,10 @@ func (b *BranchStats) LowConfRate() float64 {
 // DB is a profile database for one (workload, input) pair, optionally
 // annotated with per-branch accuracy of one dynamic predictor.
 //
-// Recording does not touch the per-branch records: executions accumulate in
-// a recorder of dense per-slot counters (see recorder) and are folded into
-// them before anything reads the database. Every reading method folds first,
-// so a DB filled and read by one goroutine needs no ceremony; a producer
-// that hands the DB to concurrent readers calls Flush first, so that reads
-// never write.
+// The recording methods reach a branch's record through a slot cache (idx
+// and recs) instead of the map: one multiply and two loads per execution.
+// The cache points into byPC and is written only by recording, so reading a
+// filled database writes nothing.
 type DB struct {
 	Workload     string `json:"workload"`
 	Input        string `json:"input"`
@@ -85,24 +83,27 @@ type DB struct {
 	Instructions uint64 `json:"instructions"`
 
 	byPC map[uint64]*BranchStats
-	rec  *recorder // nil when nothing is pending
+	idx  pcslot.Index
+	// recs[s+1] is byPC's record for idx's slot s; recs[0] is nil and
+	// answers every miss.
+	recs []*BranchStats
 }
 
 // NewDB returns an empty database.
 func NewDB(workload, input string) *DB {
-	return &DB{Workload: workload, Input: input, byPC: map[uint64]*BranchStats{}}
+	return &DB{Workload: workload, Input: input, byPC: map[uint64]*BranchStats{}, recs: make([]*BranchStats, 1)}
 }
 
 // Get returns the stats for pc, or nil if the branch never executed.
-func (d *DB) Get(pc uint64) *BranchStats { return d.all()[pc] }
+func (d *DB) Get(pc uint64) *BranchStats { return d.byPC[pc] }
 
 // Len returns the number of static branches recorded.
-func (d *DB) Len() int { return len(d.all()) }
+func (d *DB) Len() int { return len(d.byPC) }
 
 // DynamicBranches returns the total dynamic conditional branch count.
 func (d *DB) DynamicBranches() uint64 {
 	var n uint64
-	for _, b := range d.all() {
+	for _, b := range d.byPC {
 		n += b.Exec
 	}
 	return n
@@ -110,27 +111,17 @@ func (d *DB) DynamicBranches() uint64 {
 
 // Branches returns all recorded branches sorted by PC.
 func (d *DB) Branches() []*BranchStats {
-	all := d.all()
-	out := make([]*BranchStats, 0, len(all))
-	for _, b := range all {
+	out := make([]*BranchStats, 0, len(d.byPC))
+	for _, b := range d.byPC {
 		out = append(out, b)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
 	return out
 }
 
-// all returns the per-branch records with every pending execution folded
-// in. Every method that reads byPC goes through it.
-func (d *DB) all() map[uint64]*BranchStats {
-	if d.rec != nil {
-		d.Flush()
-	}
-	return d.byPC
-}
-
 // stats returns the record for pc, creating it on first use.
 func (d *DB) stats(pc uint64) *BranchStats {
-	b := d.all()[pc]
+	b := d.byPC[pc]
 	if b == nil {
 		b = &BranchStats{PC: pc}
 		d.byPC[pc] = b
@@ -138,94 +129,55 @@ func (d *DB) stats(pc uint64) *BranchStats {
 	return b
 }
 
-// recorder is where executions land until the next fold: one column per
-// counter, indexed by the branch's slot in a pcslot.Index, so recording an
-// execution costs a multiply, a table load and a few adds instead of a map
-// lookup, and a pass touches only the columns it counts (the bias pass two
-// of five).
-type recorder struct {
-	idx                                 pcslot.Index
-	exec, taken, correct, dcol, lowconf []uint64
+// probe returns pc's record through the slot cache, or nil when pc has no
+// slot yet. It is the per-event recording paths' lookup, and it inlines;
+// cache handles the miss.
+func (d *DB) probe(pc uint64) *BranchStats { return d.recs[d.idx.Slot(pc)+1] }
+
+// cache gives pc a slot holding its record, creating the record on first
+// use, and returns the record.
+func (d *DB) cache(pc uint64) *BranchStats {
+	b := d.stats(pc)
+	d.idx.Add(pc)
+	d.recs = append(d.recs, b)
+	return b
 }
 
-// add gives pc a slot.
-func (r *recorder) add(pc uint64) int {
-	r.exec = append(r.exec, 0)
-	r.taken = append(r.taken, 0)
-	r.correct = append(r.correct, 0)
-	r.dcol = append(r.dcol, 0)
-	r.lowconf = append(r.lowconf, 0)
-	return r.idx.Add(pc)
+// uncache drops the slot cache; a deletion from byPC must, so that no slot
+// keeps writing to a record the database no longer holds.
+func (d *DB) uncache() {
+	d.idx = pcslot.Index{}
+	d.recs = make([]*BranchStats, 1)
 }
 
-// probe returns the recorder and pc's slot in it, or a slot of -1 when
-// there is no recorder yet or pc has no slot in it. It is the per-event
-// recording paths' lookup, and it inlines; slot handles the miss.
-func (d *DB) probe(pc uint64) (*recorder, int) {
-	r := d.rec
-	if r == nil {
-		return nil, -1
+// record returns pc's record for the recording paths.
+func (d *DB) record(pc uint64) *BranchStats {
+	if b := d.probe(pc); b != nil {
+		return b
 	}
-	return r, r.idx.Slot(pc)
-}
-
-// slot returns the recorder and pc's slot in it, creating either on first
-// use.
-func (d *DB) slot(pc uint64) (*recorder, int) {
-	r := d.rec
-	if r == nil {
-		r = &recorder{}
-		d.rec = r
-	}
-	if s := r.idx.Slot(pc); s >= 0 {
-		return r, s
-	}
-	return r, r.add(pc)
-}
-
-// Flush folds every pending execution into the per-branch records. Reading
-// methods flush on their own; a producer calls Flush before sharing the
-// DB with concurrent readers.
-func (d *DB) Flush() {
-	r := d.rec
-	if r == nil {
-		return
-	}
-	d.rec = nil
-	for s, pc := range r.idx.PCs() {
-		b := d.byPC[pc]
-		if b == nil {
-			b = &BranchStats{PC: pc}
-			d.byPC[pc] = b
-		}
-		b.Exec += r.exec[s]
-		b.Taken += r.taken[s]
-		b.Correct += r.correct[s]
-		b.Dcol += r.dcol[s]
-		b.LowConf += r.lowconf[s]
-	}
+	return d.cache(pc)
 }
 
 // Record adds one dynamic execution of the branch at pc.
 func (d *DB) Record(pc uint64, taken bool) {
-	r, s := d.probe(pc)
-	if s < 0 {
-		r, s = d.slot(pc)
+	b := d.probe(pc)
+	if b == nil {
+		b = d.cache(pc)
 	}
-	r.exec[s]++
-	r.taken[s] += b2u(taken)
+	b.Exec++
+	b.Taken += pcslot.Bit(taken)
 }
 
 // RecordPredicted adds one dynamic execution together with whether the
 // phase-1 predictor got it right.
 func (d *DB) RecordPredicted(pc uint64, taken, correct bool) {
-	r, s := d.probe(pc)
-	if s < 0 {
-		r, s = d.slot(pc)
+	b := d.probe(pc)
+	if b == nil {
+		b = d.cache(pc)
 	}
-	r.exec[s]++
-	r.taken[s] += b2u(taken)
-	r.correct[s] += b2u(correct)
+	b.Exec++
+	b.Taken += pcslot.Bit(taken)
+	b.Correct += pcslot.Bit(correct)
 }
 
 // RecordBlock records a block of executions in program order: the branch
@@ -235,97 +187,76 @@ func (d *DB) RecordPredicted(pc uint64, taken, correct bool) {
 // the predictor got wrong is a destructive collision, as
 // RecordDestructiveCollision. collided needs correct.
 //
-// The loops keep the index and the columns in locals, refreshed only when
-// a new branch gets a slot: read through the recorder, every column store
-// forces the next event to reload them all, and one loop over the recorder
-// with the nil checks inside measured 20–40% slower per event.
+// The loops keep the index and the records in locals, refreshed only when
+// a new branch gets a slot: read through the DB, every counter store forces
+// the next event to reload them, and one loop with the nil checks inside
+// measured 20–40% slower per event.
 func (d *DB) RecordBlock(pcs []uint64, taken, correct, collided []bool) {
-	if len(pcs) == 0 {
-		return
-	}
-	r := d.rec
-	if r == nil {
-		r = &recorder{}
-		d.rec = r
-	}
 	taken = taken[:len(pcs)]
-	idx, exec, tk := r.idx, r.exec, r.taken
+	idx, recs := d.idx, d.recs
 	switch {
 	case correct == nil:
 		for i, pc := range pcs {
-			s := idx.Slot(pc)
-			if s < 0 {
-				s = r.add(pc)
-				idx, exec, tk = r.idx, r.exec, r.taken
+			b := recs[idx.Slot(pc)+1]
+			if b == nil {
+				b = d.cache(pc)
+				idx, recs = d.idx, d.recs
 			}
-			exec[s]++
-			tk[s] += b2u(taken[i])
+			b.Exec++
+			b.Taken += pcslot.Bit(taken[i])
 		}
 	case collided == nil:
 		correct = correct[:len(pcs)]
-		cor := r.correct
 		for i, pc := range pcs {
-			s := idx.Slot(pc)
-			if s < 0 {
-				s = r.add(pc)
-				idx, exec, tk, cor = r.idx, r.exec, r.taken, r.correct
+			b := recs[idx.Slot(pc)+1]
+			if b == nil {
+				b = d.cache(pc)
+				idx, recs = d.idx, d.recs
 			}
-			exec[s]++
-			tk[s] += b2u(taken[i])
-			cor[s] += b2u(correct[i])
+			b.Exec++
+			b.Taken += pcslot.Bit(taken[i])
+			b.Correct += pcslot.Bit(correct[i])
 		}
 	default:
 		correct, collided = correct[:len(pcs)], collided[:len(pcs)]
-		cor, dcol := r.correct, r.dcol
 		for i, pc := range pcs {
-			s := idx.Slot(pc)
-			if s < 0 {
-				s = r.add(pc)
-				idx, exec, tk, cor, dcol = r.idx, r.exec, r.taken, r.correct, r.dcol
+			b := recs[idx.Slot(pc)+1]
+			if b == nil {
+				b = d.cache(pc)
+				idx, recs = d.idx, d.recs
 			}
-			ok := b2u(correct[i])
-			exec[s]++
-			tk[s] += b2u(taken[i])
-			cor[s] += ok
-			dcol[s] += b2u(collided[i]) &^ ok
+			ok := pcslot.Bit(correct[i])
+			b.Exec++
+			b.Taken += pcslot.Bit(taken[i])
+			b.Correct += ok
+			b.Dcol += pcslot.Bit(collided[i]) &^ ok
 		}
 	}
-}
-
-// b2u converts a bool to 0/1 (the compiler lowers this branch-free).
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // RecordDestructiveCollision notes that the branch at pc suffered a
 // destructive collision in the phase-1 predictor (its lookup aliased with
 // another branch and the prediction was wrong). Used by the
 // collision-targeted selection scheme.
-func (d *DB) RecordDestructiveCollision(pc uint64) {
-	r, s := d.slot(pc)
-	r.dcol[s]++
-}
+func (d *DB) RecordDestructiveCollision(pc uint64) { d.record(pc).Dcol++ }
 
 // RecordLowConfidence notes that the phase-1 predictor graded one execution
 // of the branch at pc as low confidence. Used by the confidence-based
 // selection scheme (Static_Conf).
-func (d *DB) RecordLowConfidence(pc uint64) {
-	r, s := d.slot(pc)
-	r.lowconf[s]++
-}
+func (d *DB) RecordLowConfidence(pc uint64) { d.record(pc).LowConf++ }
 
 // Remove deletes the branch at pc from the database.
-func (d *DB) Remove(pc uint64) { delete(d.all(), pc) }
+func (d *DB) Remove(pc uint64) {
+	delete(d.byPC, pc)
+	d.uncache()
+}
 
 // Clone returns a deep copy.
 func (d *DB) Clone() *DB {
 	out := NewDB(d.Workload, d.Input)
 	out.Predictor = d.Predictor
 	out.Instructions = d.Instructions
-	for pc, b := range d.all() {
+	for pc, b := range d.byPC {
 		cp := *b
 		out.byPC[pc] = &cp
 	}
@@ -346,7 +277,7 @@ func (d *DB) Merge(other *DB) {
 		d.Predictor = ""
 	}
 	d.Instructions += other.Instructions
-	for pc, ob := range other.all() {
+	for pc, ob := range other.byPC {
 		b := d.stats(pc)
 		b.Exec += ob.Exec
 		b.Taken += ob.Taken
@@ -379,8 +310,8 @@ func (d *DB) Merge(other *DB) {
 // stable across inputs. It returns the number of branches removed.
 func (d *DB) RemoveUnstable(other *DB, maxDrift float64) int {
 	removed := 0
-	for pc, b := range d.all() {
-		ob := other.all()[pc]
+	for pc, b := range d.byPC {
+		ob := other.byPC[pc]
 		if ob == nil {
 			continue
 		}
@@ -393,13 +324,16 @@ func (d *DB) RemoveUnstable(other *DB, maxDrift float64) int {
 			removed++
 		}
 	}
+	if removed > 0 {
+		d.uncache()
+	}
 	return removed
 }
 
 // Validate performs internal consistency checks and returns the first
 // problem found.
 func (d *DB) Validate() error {
-	for pc, b := range d.all() {
+	for pc, b := range d.byPC {
 		if b.PC != pc {
 			return fmt.Errorf("profile: key %#x holds record for pc %#x", pc, b.PC)
 		}

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -358,11 +359,10 @@ func TestRecordDestructiveCollision(t *testing.T) {
 	}
 }
 
-// TestRecordBlockMatchesPerEvent records one stream three ways — per event,
-// in blocks, and mixed with reads in between — and requires identical
+// TestRecordBlockMatchesPerEvent records one stream per event and in
+// blocks of several lengths, with reads in between, and requires identical
 // databases: the block recorder is RecordPredicted plus
-// RecordDestructiveCollision, and a read folds pending executions without
-// changing what later records add up to.
+// RecordDestructiveCollision.
 func TestRecordBlockMatchesPerEvent(t *testing.T) {
 	rng := xrand.New(17)
 	const n = 3000
@@ -390,7 +390,6 @@ func TestRecordBlockMatchesPerEvent(t *testing.T) {
 				}
 			}
 		}
-		want.Flush()
 		var cor, col []bool
 		if mode.correct {
 			cor = correct
@@ -411,10 +410,9 @@ func TestRecordBlockMatchesPerEvent(t *testing.T) {
 				}
 				got.RecordBlock(pcs[i:e], taken[i:e], c, d)
 				if i%(4*cut) == 0 {
-					got.Len() // a read mid-stream folds what is pending
+					got.Len() // reads mid-stream change nothing
 				}
 			}
-			got.Flush()
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%s cut=%d: block-recorded profile differs", mode.name, cut)
 			}
@@ -422,44 +420,92 @@ func TestRecordBlockMatchesPerEvent(t *testing.T) {
 	}
 }
 
-// TestReadsFoldPendingRecords checks every reader sees executions recorded
-// since the last fold, with no explicit Flush.
-func TestReadsFoldPendingRecords(t *testing.T) {
+// TestRecordingAfterDeletion checks that recording reaches the database's
+// own records after every operation that deletes or replaces records:
+// executions recorded after Remove or RemoveUnstable start a fresh record,
+// and a clone or a loaded copy records into its own.
+func TestRecordingAfterDeletion(t *testing.T) {
 	fresh := func() *DB {
 		d := NewDB("w", "i")
-		d.Predictor = "p"
-		d.RecordPredicted(0x10, true, true)
-		d.RecordLowConfidence(0x10)
-		d.RecordBlock([]uint64{0x10, 0x14}, []bool{true, false}, []bool{false, true}, []bool{true, true})
+		d.RecordBlock([]uint64{0x10, 0x14, 0x10}, []bool{true, false, true}, nil, nil)
 		return d
 	}
-	if b := fresh().Get(0x10); b == nil || *b != (BranchStats{PC: 0x10, Exec: 2, Taken: 2, Correct: 1, Dcol: 1, LowConf: 1}) {
-		t.Errorf("Get = %+v", b)
+	d := fresh()
+	d.Remove(0x10)
+	d.Record(0x10, false)
+	d.RecordBlock([]uint64{0x10}, []bool{false}, nil, nil)
+	if b := d.Get(0x10); b == nil || b.Exec != 2 || b.Taken != 0 {
+		t.Errorf("after Remove: %+v", b)
 	}
-	if n := fresh().Len(); n != 2 {
-		t.Errorf("Len = %d", n)
+
+	d = fresh()
+	other := NewDB("w", "j")
+	other.Record(0x10, false)
+	if n := d.RemoveUnstable(other, 0.05); n != 1 {
+		t.Fatalf("RemoveUnstable removed %d", n)
 	}
-	if n := fresh().DynamicBranches(); n != 3 {
-		t.Errorf("DynamicBranches = %d", n)
+	d.RecordPredicted(0x10, true, true)
+	if b := d.Get(0x10); b == nil || b.Exec != 1 || b.Correct != 1 {
+		t.Errorf("after RemoveUnstable: %+v", b)
 	}
-	if bs := fresh().Branches(); len(bs) != 2 || bs[1].PC != 0x14 {
-		t.Errorf("Branches = %v", bs)
+
+	d = fresh()
+	c := d.Clone()
+	c.Record(0x14, true)
+	if d.Get(0x14).Exec != 1 || c.Get(0x14).Exec != 2 {
+		t.Errorf("clone shares records: original %+v, clone %+v", d.Get(0x14), c.Get(0x14))
 	}
-	if c := fresh().Clone(); c.Len() != 2 || c.Get(0x14).Exec != 1 {
-		t.Errorf("Clone lost pending records")
-	}
-	m := fresh()
-	m.Merge(fresh())
-	if b := m.Get(0x10); b.Exec != 4 || b.Correct != 2 {
-		t.Errorf("Merge = %+v", b)
-	}
-	r := fresh()
-	r.Remove(0x14)
-	if r.Len() != 1 {
-		t.Errorf("Remove of a pending branch left %d branches", r.Len())
-	}
+
 	var buf bytes.Buffer
-	if err := fresh().Save(&buf); err != nil || !strings.Contains(buf.String(), `"pc": 20`) {
-		t.Errorf("Save lost pending records: %v\n%s", err, buf.String())
+	if err := fresh().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.RecordDestructiveCollision(0x14)
+	l.RecordLowConfidence(0x18)
+	if b := l.Get(0x14); b.Exec != 1 || b.Dcol != 1 {
+		t.Errorf("after Load: %+v", b)
+	}
+	if l.Len() != 3 {
+		t.Errorf("after Load: %d branches, want 3", l.Len())
+	}
+}
+
+// TestConcurrentReadsAfterRecording reads a recorded database from several
+// goroutines at once; under -race it checks that reading writes nothing.
+func TestConcurrentReadsAfterRecording(t *testing.T) {
+	rng := xrand.New(5)
+	d, ref := NewDB("w", "i"), NewDB("w", "j")
+	for i := 0; i < 2000; i++ {
+		pc := 0x1000 + 4*uint64(rng.Intn(100))
+		d.Record(pc, rng.Intn(3) != 0)
+		ref.RecordBlock([]uint64{pc}, []bool{rng.Intn(2) == 0}, nil, nil)
+	}
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for pc := uint64(0x1000); pc < 0x1000+4*100; pc += 4 {
+				d.Get(pc)
+			}
+			d.Len()
+			d.DynamicBranches()
+			d.Branches()
+			d.Clone()
+			d.HighlyBiasedDynamicFraction(0.95)
+			Diverge(d, ref)
+			if err := d.Validate(); err != nil {
+				t.Error(err)
+			}
+			if err := d.Save(io.Discard); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		<-done
 	}
 }

@@ -399,13 +399,10 @@ func (r *Runner) Ops(n uint64) {
 }
 
 // Metrics returns a snapshot of the accumulated results. When profiling is
-// enabled it also stamps the profile database with the instruction total
-// and flushes its recorded executions, so the database is ready for
-// concurrent readers.
+// enabled it also stamps the profile database with the instruction total.
 func (r *Runner) Metrics() Metrics {
 	if r.prof != nil {
 		r.prof.Instructions = r.metrics.Instructions
-		r.prof.Flush()
 	}
 	if r.obsEvents != nil {
 		r.flushObs()

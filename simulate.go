@@ -161,7 +161,6 @@ func (cfg *simConfig) simulate(ctx context.Context, pred Predictor, span *obs.Sp
 			return Metrics{}, err
 		}
 		cfg.profile.Instructions = rec.counts.Instructions
-		cfg.profile.Flush()
 		return Metrics{Workload: cfg.workload, Input: cfg.input, Counts: rec.counts}, nil
 	}
 	sopts := []sim.Option{sim.WithLabels(cfg.workload, cfg.input), sim.WithObserver(cfg.obs),
