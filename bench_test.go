@@ -21,10 +21,6 @@ import (
 
 	"branchsim"
 	"branchsim/internal/experiment"
-	"branchsim/internal/obs"
-	"branchsim/internal/replay"
-	"branchsim/internal/sim"
-	"branchsim/internal/telemetry"
 	"branchsim/internal/trace"
 	"branchsim/internal/workload"
 	"branchsim/internal/xrand"
@@ -164,127 +160,6 @@ func BenchmarkWorkload(b *testing.B) {
 			b.ReportMetric(float64(c.Branches), "branches/op")
 		})
 	}
-}
-
-// ---- capture-once replay engine vs direct re-execution ----
-//
-// Both benchmarks run the same 5-predictor sweep of one benchmark (the
-// paper's Table 2 column set on ijpeg); direct re-executes the instrumented
-// workload per predictor, replay captures its branch stream once and fans
-// out. Recorded in BENCH_replay.json. The replay win scales with the number
-// of cores (arms replay in parallel) and with the workload/predictor cost
-// ratio; see DESIGN.md §7.
-
-const sweepWorkload = "ijpeg"
-
-func sweepSpecs() []string {
-	specs := make([]string, 0, len(experiment.FivePredictors))
-	for _, p := range experiment.FivePredictors {
-		specs = append(specs, p+":8KB")
-	}
-	return specs
-}
-
-func newSweepRunner(b *testing.B, spec string, sink *obs.Observer, tel telemetry.Config) *sim.Runner {
-	b.Helper()
-	p, err := branchsim.NewPredictor(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sim.NewRunner(p, sim.WithCollisions(), sim.WithLabels(sweepWorkload, workload.InputTrain),
-		sim.WithObserver(sink), sim.WithTelemetry(telemetry.New(tel, sink)))
-}
-
-func BenchmarkSweepDirect(b *testing.B) {
-	prog, err := workload.Get(sweepWorkload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	var branches uint64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, spec := range sweepSpecs() {
-			r := newSweepRunner(b, spec, nil, telemetry.Config{})
-			if err := workload.RunProgram(ctx, prog, workload.InputTrain, r); err != nil {
-				b.Fatal(err)
-			}
-			branches = r.Metrics().Branches
-		}
-	}
-	b.ReportMetric(float64(branches), "branches/arm")
-	b.ReportMetric(float64(branches)*float64(len(sweepSpecs()))*float64(b.N)/b.Elapsed().Seconds(), "branches/s")
-}
-
-func benchSweepReplay(b *testing.B, sink *obs.Observer, tel telemetry.Config, eopts ...replay.Option) {
-	prog, err := workload.Get(sweepWorkload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	arms := make([]replay.Arm, 0, len(sweepSpecs()))
-	for _, spec := range sweepSpecs() {
-		spec := spec
-		arms = append(arms, replay.Arm{Label: spec, New: func() (trace.Recorder, error) {
-			return newSweepRunner(b, spec, sink, tel), nil
-		}})
-	}
-	var branches uint64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// A fresh engine per iteration so every iteration pays for its own
-		// capture — the steady-state cached case would measure nothing.
-		e := replay.New(0, 0, "", eopts...)
-		e.SetObserver(sink)
-		for _, res := range e.Sweep(ctx, prog, workload.InputTrain, arms) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-			branches = res.Rec.(*sim.Runner).Metrics().Branches
-		}
-		e.Close()
-	}
-	b.ReportMetric(float64(branches), "branches/arm")
-	b.ReportMetric(float64(branches)*float64(len(arms))*float64(b.N)/b.Elapsed().Seconds(), "branches/s")
-}
-
-func BenchmarkSweepReplay(b *testing.B) { benchSweepReplay(b, nil, telemetry.Config{}) }
-
-// BenchmarkSweepReplayBatch pins the batched-kernel configuration
-// explicitly (it is also the default, so this matches BenchmarkSweepReplay)
-// and BenchmarkSweepReplayNoBatch is the same sweep on the scalar per-event
-// path — the before/after pair recorded in BENCH_kernel.json.
-func BenchmarkSweepReplayBatch(b *testing.B) {
-	benchSweepReplay(b, nil, telemetry.Config{}, replay.WithBatch(true))
-}
-
-func BenchmarkSweepReplayNoBatch(b *testing.B) {
-	benchSweepReplay(b, nil, telemetry.Config{}, replay.WithBatch(false))
-}
-
-// BenchmarkSweepReplayNoVerify is BenchmarkSweepReplay with chunk checksum
-// verification disabled, the -verify-chunks=false configuration. The delta
-// against BenchmarkSweepReplay is the price of CRC32C-checking every chunk
-// before each of the five replays (capture-side checksumming happens in
-// both). Recorded in BENCH_durability.json.
-func BenchmarkSweepReplayNoVerify(b *testing.B) {
-	benchSweepReplay(b, nil, telemetry.Config{}, replay.WithVerify(false))
-}
-
-// BenchmarkSweepReplayObserved is BenchmarkSweepReplay with a live observer
-// attached to the engine and every runner. Comparing the two bounds the
-// enabled-observability overhead; the disabled (nil-sink) case is the one
-// BenchmarkSweepReplay itself guards.
-func BenchmarkSweepReplayObserved(b *testing.B) { benchSweepReplay(b, obs.New(), telemetry.Config{}) }
-
-// BenchmarkSweepReplayTelemetry is BenchmarkSweepReplayObserved with full
-// simulation-domain telemetry on every arm: interval time-series at the
-// default cadence, predictor-table introspection at boundaries, and top-K
-// per-branch tracking. The delta against BenchmarkSweepReplayObserved is the
-// enabled-telemetry cost; against BenchmarkSweepReplay, the whole
-// observability stack's. Recorded in BENCH_telemetry.json.
-func BenchmarkSweepReplayTelemetry(b *testing.B) {
-	benchSweepReplay(b, obs.New(), telemetry.Config{Interval: 100_000, TableStats: true, TopK: 16})
 }
 
 // ---- end-to-end simulation throughput ----

@@ -1,9 +1,6 @@
 package branchsim
 
 import (
-	"context"
-	"fmt"
-
 	"branchsim/internal/core"
 	"branchsim/internal/predictor"
 	"branchsim/internal/profile"
@@ -109,81 +106,6 @@ func Combine(dyn Predictor, hints *HintDB, shift ShiftPolicy) *Combined {
 
 // SelectHints runs a selection scheme over a profile database.
 func SelectHints(sel Selector, db *ProfileDB) (*HintDB, error) { return sel.Select(db) }
-
-// RunConfig describes one simulation run.
-//
-// Deprecated: use Simulate with options (Workload, Input, WithPredictor,
-// WithCollisions, WithProfileInto) instead of a config struct.
-type RunConfig struct {
-	// Workload and Input name the branch stream ("gcc", "ref").
-	Workload, Input string
-	// Predictor is the predictor under test (possibly a *Combined).
-	Predictor Predictor
-	// TrackCollisions enables the paper's collision instrumentation when
-	// the predictor supports it.
-	TrackCollisions bool
-	// Profile, when non-nil, collects per-branch statistics during the
-	// run (phase-1 profiling).
-	Profile *ProfileDB
-}
-
-// Run executes one simulation and returns its metrics.
-//
-// Deprecated: use Simulate. Run(cfg) is Simulate(nil, Workload(cfg.Workload),
-// Input(cfg.Input), WithPredictor(cfg.Predictor), ...) and returns identical
-// metrics.
-func Run(cfg RunConfig) (Metrics, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext executes one simulation under ctx: cancelling ctx stops the run
-// cooperatively, and a panicking predictor or workload is returned as a
-// *PanicError instead of crashing the process.
-//
-// Deprecated: use Simulate, which takes the same configuration as options
-// and returns identical metrics.
-func RunContext(ctx context.Context, cfg RunConfig) (Metrics, error) {
-	if cfg.Predictor == nil {
-		return Metrics{}, fmt.Errorf("branchsim: RunConfig.Predictor is nil")
-	}
-	opts := []SimOption{Workload(cfg.Workload), Input(cfg.Input), WithPredictor(cfg.Predictor)}
-	if cfg.TrackCollisions {
-		opts = append(opts, WithCollisions())
-	}
-	if cfg.Profile != nil {
-		opts = append(opts, WithProfileInto(cfg.Profile))
-	}
-	return Simulate(ctx, opts...)
-}
-
-// Profile runs the paper's phase 1: simulate predictorSpec over the
-// workload/input and collect a profile with per-branch bias, per-branch
-// accuracy and destructive-collision counts. Pass an empty predictorSpec to
-// collect a bias-only profile (sufficient for Static95).
-//
-// Deprecated: use Simulate with WithProfileInto (plus WithPredictorSpec and
-// WithCollisions for predictor-accuracy profiles); it returns identical
-// profiles and metrics.
-func Profile(workloadName, input, predictorSpec string) (*ProfileDB, Metrics, error) {
-	return ProfileContext(context.Background(), workloadName, input, predictorSpec)
-}
-
-// ProfileContext is Profile with cooperative cancellation and panic
-// isolation, like RunContext.
-//
-// Deprecated: use Simulate with WithProfileInto, as with Profile.
-func ProfileContext(ctx context.Context, workloadName, input, predictorSpec string) (*ProfileDB, Metrics, error) {
-	db := profile.NewDB(workloadName, input)
-	opts := []SimOption{Workload(workloadName), Input(input), WithProfileInto(db)}
-	if predictorSpec != "" {
-		opts = append(opts, WithPredictorSpec(predictorSpec), WithCollisions())
-	}
-	m, err := Simulate(ctx, opts...)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return db, m, nil
-}
 
 // biasRecorder collects bias-only profiles without any predictor.
 type biasRecorder struct {

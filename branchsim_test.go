@@ -1,25 +1,37 @@
-// Regression tests for the deprecated Run/Profile wrappers, kept running
-// until the wrappers are removed — facade_test.go proves Simulate equivalent.
 package branchsim_test
 
-//lint:file-ignore SA1019 this file pins the behaviour of the deprecated wrappers on purpose
-
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"branchsim"
 )
 
+// profileOf runs the paper's phase 1 through Simulate: a bias-only profile
+// when spec is empty, a predictor-accuracy profile with collisions otherwise.
+func profileOf(t *testing.T, wl, input, spec string) (*branchsim.ProfileDB, branchsim.Metrics) {
+	t.Helper()
+	db := branchsim.NewProfileDB(wl, input)
+	opts := []branchsim.SimOption{branchsim.Workload(wl), branchsim.Input(input), branchsim.WithProfileInto(db)}
+	if spec != "" {
+		opts = append(opts, branchsim.WithPredictorSpec(spec), branchsim.WithCollisions())
+	}
+	m, err := branchsim.Simulate(context.Background(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, m
+}
+
 func TestNewPredictorAndRun(t *testing.T) {
 	p, err := branchsim.NewPredictor("gshare:2KB")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := branchsim.Run(branchsim.RunConfig{
-		Workload: "compress", Input: branchsim.InputTest,
-		Predictor: p, TrackCollisions: true,
-	})
+	m, err := branchsim.Simulate(context.Background(),
+		branchsim.Workload("compress"), branchsim.Input(branchsim.InputTest),
+		branchsim.WithPredictor(p), branchsim.WithCollisions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,23 +47,24 @@ func TestNewPredictorAndRun(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := branchsim.Run(branchsim.RunConfig{Workload: "compress", Input: "test"}); err == nil {
+	ctx := context.Background()
+	if _, err := branchsim.Simulate(ctx, branchsim.Workload("compress"), branchsim.Input("test"),
+		branchsim.WithPredictor(nil)); err == nil {
 		t.Fatalf("nil predictor accepted")
 	}
 	p, _ := branchsim.NewPredictor("bimodal:1KB")
-	if _, err := branchsim.Run(branchsim.RunConfig{Workload: "nosuch", Input: "test", Predictor: p}); err == nil {
+	if _, err := branchsim.Simulate(ctx, branchsim.Workload("nosuch"), branchsim.Input("test"),
+		branchsim.WithPredictor(p)); err == nil {
 		t.Fatalf("unknown workload accepted")
 	}
-	if _, err := branchsim.Run(branchsim.RunConfig{Workload: "compress", Input: "nosuch", Predictor: p}); err == nil {
+	if _, err := branchsim.Simulate(ctx, branchsim.Workload("compress"), branchsim.Input("nosuch"),
+		branchsim.WithPredictor(p)); err == nil {
 		t.Fatalf("unknown input accepted")
 	}
 }
 
 func TestProfileBiasOnly(t *testing.T) {
-	db, m, err := branchsim.Profile("compress", branchsim.InputTest, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, m := profileOf(t, "compress", branchsim.InputTest, "")
 	if db.Predictor != "" {
 		t.Fatalf("bias-only profile has predictor %q", db.Predictor)
 	}
@@ -64,10 +77,7 @@ func TestProfileBiasOnly(t *testing.T) {
 }
 
 func TestProfileWithPredictor(t *testing.T) {
-	db, m, err := branchsim.Profile("compress", branchsim.InputTest, "gshare:2KB")
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, m := profileOf(t, "compress", branchsim.InputTest, "gshare:2KB")
 	if db.Predictor != "gshare" {
 		t.Fatalf("profile predictor = %q", db.Predictor)
 	}
@@ -82,17 +92,20 @@ func TestProfileWithPredictor(t *testing.T) {
 
 func TestEndToEndCombinedImproves(t *testing.T) {
 	const wl, input, spec = "gcc", branchsim.InputTest, "ghist:1KB"
+	ctx := context.Background()
+	run := func(p branchsim.Predictor) branchsim.Metrics {
+		t.Helper()
+		m, err := branchsim.Simulate(ctx, branchsim.Workload(wl), branchsim.Input(input), branchsim.WithPredictor(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 
 	dyn, _ := branchsim.NewPredictor(spec)
-	base, err := branchsim.Run(branchsim.RunConfig{Workload: wl, Input: input, Predictor: dyn})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := run(dyn)
 
-	db, _, err := branchsim.Profile(wl, input, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, _ := profileOf(t, wl, input, spec)
 	hints, err := branchsim.SelectHints(branchsim.StaticAcc{}, db)
 	if err != nil {
 		t.Fatal(err)
@@ -103,10 +116,7 @@ func TestEndToEndCombinedImproves(t *testing.T) {
 
 	dyn2, _ := branchsim.NewPredictor(spec)
 	comb := branchsim.Combine(dyn2, hints, branchsim.NoShift)
-	m, err := branchsim.Run(branchsim.RunConfig{Workload: wl, Input: input, Predictor: comb})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := run(comb)
 	// Self-trained Static_Acc on ghist must help (the paper's headline).
 	if m.MISPKI() >= base.MISPKI() {
 		t.Fatalf("combined %.3f MISP/KI did not beat baseline %.3f", m.MISPKI(), base.MISPKI())
@@ -118,10 +128,7 @@ func TestEndToEndCombinedImproves(t *testing.T) {
 }
 
 func TestDivergeExposedOnFacade(t *testing.T) {
-	a, _, err := branchsim.Profile("compress", branchsim.InputTest, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := profileOf(t, "compress", branchsim.InputTest, "")
 	d := branchsim.Diverge(a, a)
 	if d.CoverageStatic != 1 || d.FlipStatic != 0 {
 		t.Fatalf("self-divergence = %+v", d)

@@ -1,7 +1,8 @@
-// Command bptrace records workload branch streams to compact binary trace
-// files, prints statistics about existing traces, and replays traces through
-// predictors. Traces decouple workload execution from simulation: record
-// once, sweep many predictor configurations.
+// Command bptrace records workload branch streams to compact, checksummed
+// binary trace files (the BTRC3 format of internal/trace), prints
+// statistics about existing traces, and replays traces through predictors.
+// Traces decouple workload execution from simulation: record once, sweep
+// many predictor configurations.
 //
 // Examples:
 //
@@ -16,9 +17,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 
 	"branchsim"
+	"branchsim/internal/replay"
 	"branchsim/internal/sim"
 	"branchsim/internal/trace"
 	"branchsim/internal/workload"
@@ -38,7 +41,7 @@ func main() {
 	case "stat":
 		err = stat(os.Args[2:])
 	case "replay":
-		err = replay(os.Args[2:])
+		err = replayTrace(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -67,20 +70,25 @@ func record(ctx context.Context, args []string) error {
 	if *out == "" {
 		return fmt.Errorf("record: -o is required")
 	}
+	// Capture through a replay engine and export its checksummed chunks
+	// with Trace.WriteTo. Past 64 MiB of encoded chunks the engine spills
+	// to a temporary file beside the output, so memory stays bounded
+	// however long the stream is.
+	e := replay.New(1, 64<<20, filepath.Dir(*out))
+	defer e.Close()
+	key := replay.Key(*wl, *input)
+	produce := func(r trace.Recorder) error { return workload.Run(ctx, *wl, *input, r) }
+	counts, err := e.Run(ctx, key, produce, func() (trace.Recorder, error) { return trace.Discard, nil })
+	if err != nil {
+		return err
+	}
+	captured, _ := e.Trace(key)
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		return err
-	}
-	var counts trace.Counts
-	if err := workload.Run(ctx, *wl, *input, trace.Tee(&counts, w)); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := captured.WriteTo(f); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
@@ -97,16 +105,7 @@ func stat(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("stat: expected one trace file")
 	}
-	f, err := os.Open(args[0])
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return err
-	}
-	counts, err := r.Replay(trace.Discard)
+	counts, err := replayFile(args[0], trace.Discard)
 	if err != nil {
 		return err
 	}
@@ -116,7 +115,7 @@ func stat(args []string) error {
 	return nil
 }
 
-func replay(args []string) error {
+func replayTrace(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	pred := fs.String("predictor", "gshare:16KB", "predictor spec")
 	if err := fs.Parse(args); err != nil {
@@ -125,24 +124,38 @@ func replay(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("replay: expected one trace file")
 	}
-	p, err := branchsim.NewPredictor(*pred)
+	m, err := simulateFile(fs.Arg(0), *pred)
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(fs.Arg(0))
+	fmt.Println(m.String())
+	return nil
+}
+
+// simulateFile runs the predictor spec, with collision tracking, over the
+// trace file at path.
+func simulateFile(path, spec string) (sim.Metrics, error) {
+	p, err := branchsim.NewPredictor(spec)
 	if err != nil {
-		return err
+		return sim.Metrics{}, err
+	}
+	runner := sim.NewRunner(p, sim.WithCollisions(), sim.WithLabels(path, "trace"))
+	if _, err := replayFile(path, runner); err != nil {
+		return sim.Metrics{}, err
+	}
+	return runner.Metrics(), nil
+}
+
+// replayFile streams the trace file at path into rec and returns its totals.
+func replayFile(path string, rec trace.Recorder) (trace.Counts, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return trace.Counts{}, err
 	}
 	defer f.Close()
 	r, err := trace.NewReader(f)
 	if err != nil {
-		return err
+		return trace.Counts{}, err
 	}
-	runner := sim.NewRunner(p, sim.WithCollisions(), sim.WithLabels(fs.Arg(0), "trace"))
-	if _, err := r.Replay(runner); err != nil {
-		return err
-	}
-	m := runner.Metrics()
-	fmt.Println(m.String())
-	return nil
+	return r.Replay(rec)
 }

@@ -47,7 +47,5 @@
 //
 // Runs are observable: attach a sink built with [NewObserver] via
 // [WithObserver] to stream live counters (optionally over HTTP with
-// Observer.Serve) and journal one [ArmRecord] per completed run. The
-// deprecated [Run], [RunContext], [Profile] and [ProfileContext] wrappers
-// remain and produce results identical to the equivalent [Simulate] call.
+// Observer.Serve) and journal one [ArmRecord] per completed run.
 package branchsim

@@ -58,8 +58,7 @@ func TestCrashRecoveryKillMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := testHarness()
-		h.Checkpoint = ck
+		h := testHarness(WithCheckpoint(ck))
 		if _, errs := runMatrix(context.Background(), h, arms); errs[0] != nil || errs[1] != nil || errs[2] != nil {
 			t.Fatalf("counting sweep failed: %v", errs)
 		}
@@ -84,8 +83,7 @@ func TestCrashRecoveryKillMatrix(t *testing.T) {
 				OnCrash: cancel,
 			}
 			if ck, err := OpenCheckpointFS(dir, ffs); err == nil {
-				h := testHarness()
-				h.Checkpoint = ck
+				h := testHarness(WithCheckpoint(ck))
 				runMatrix(ctx, h, arms) // arm errors are the crash, expected
 			}
 			// An open that crashed is a death before any record landed;
@@ -97,8 +95,7 @@ func TestCrashRecoveryKillMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopening checkpoint after crash: %v", err)
 			}
-			h := testHarness()
-			h.Checkpoint = ck
+			h := testHarness(WithCheckpoint(ck))
 			got, errs := runMatrix(context.Background(), h, arms)
 			for i := range arms {
 				if errs[i] != nil {

@@ -11,14 +11,14 @@ import (
 
 // testHarness measures on the tiny test inputs so the whole experiment
 // machinery runs in seconds.
-func testHarness() *Harness {
-	return &Harness{RefInput: workload.InputTest, TrainInput: workload.InputTest}
+func testHarness(opts ...HarnessOption) *Harness {
+	return (&Harness{RefInput: workload.InputTest, TrainInput: workload.InputTest}).apply(opts)
 }
 
 // crossHarness uses two different small inputs so cross-training paths are
 // meaningful.
-func crossHarness() *Harness {
-	return &Harness{RefInput: workload.InputTrain, TrainInput: workload.InputTest}
+func crossHarness(opts ...HarnessOption) *Harness {
+	return (&Harness{RefInput: workload.InputTrain, TrainInput: workload.InputTest}).apply(opts)
 }
 
 func TestAllExperimentsRegisteredAndOrdered(t *testing.T) {

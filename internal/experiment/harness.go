@@ -49,50 +49,25 @@ type Harness struct {
 	// TrainInput is the profiling input for cross-training experiments
 	// (paper: "train").
 	TrainInput string
-	// Log, when non-nil, receives one line per uncached simulation.
-	//
-	// Deprecated: pass WithLogger to NewHarness.
-	Log io.Writer
-	// ArmTimeout, when positive, bounds each uncached simulation
-	// (profile or measurement run) with its own deadline.
-	//
-	// Deprecated: pass WithArmTimeout to NewHarness.
-	ArmTimeout time.Duration
-	// Retry bounds in-place re-attempts of transient arm failures.
-	//
-	// Deprecated: pass WithRetry to NewHarness.
-	Retry RetryPolicy
-	// Checkpoint, when non-nil, journals completed profiles and run
-	// metrics and consults the journal before simulating.
-	//
-	// Deprecated: pass WithCheckpoint to NewHarness.
-	Checkpoint *Checkpoint
-	// Lookup resolves workload names; nil means workload.Get. Tests
-	// substitute fault-injecting programs here.
-	//
-	// Deprecated: pass WithLookup to NewHarness.
-	Lookup func(name string) (workload.Program, error)
-	// NewPredictor builds predictors from specs; nil means predictor.New.
-	// Tests substitute fault-injecting predictors here.
-	//
-	// Deprecated: pass WithPredictorFactory to NewHarness.
-	NewPredictor func(spec string) (predictor.Predictor, error)
 	// Replay, when non-nil, shares one instrumented execution per
 	// (workload, input) across uncached arms: the first arm to need a
 	// stream captures it while simulating, concurrent arms replay the
 	// capture instead of re-running the workload. Metrics are
 	// bit-identical to direct execution, and singleflight and checkpoint
 	// keys are unchanged, so attaching an engine never changes results —
-	// only how often workloads execute.
-	//
-	// Deprecated: pass WithReplay (or WithWorkers) to NewHarness.
+	// only how often workloads execute. Set it with WithReplay or
+	// WithWorkers.
 	Replay *replay.Engine
-	// Obs is the observability layer: when non-nil, every arm gets a
-	// lifecycle span (phase timings, retries, cache-hit provenance, final
-	// metrics) journaled through it, and the harness's work counters are
-	// published to its registry. Nil disables observation at zero cost.
-	// Set it with WithObserver; observation never changes results.
-	Obs *obs.Observer
+
+	// The options' settings; each option's doc says what it does. Nil
+	// lookupFn and predictorFn mean workload.Get and predictor.New, and a
+	// nil obs observes nothing at zero cost.
+	log         io.Writer                                      // WithLogger
+	armTimeout  time.Duration                                  // WithArmTimeout
+	checkpoint  *Checkpoint                                    // WithCheckpoint
+	lookupFn    func(name string) (workload.Program, error)    // WithLookup
+	predictorFn func(spec string) (predictor.Predictor, error) // WithPredictorFactory
+	obs         *obs.Observer                                  // WithObserver
 
 	// workers / wantOwnedReplay / ownedReplay implement WithWorkers: a
 	// replay engine the harness creates and Close releases. noBatch
@@ -109,8 +84,8 @@ type Harness struct {
 	// replay retries never journal a partial stream's records.
 	telemetry telemetry.Config
 
-	logMu    sync.Mutex
-	once     sync.Once
+	logMu sync.Mutex
+	// The memoized work; WithRetry sets each flight's retry policy.
 	profiles flight[*profile.DB]
 	hints    flight[*core.HintDB]
 	runs     flight[sim.Metrics]
@@ -140,27 +115,18 @@ func (h *Harness) Stats() Stats {
 	}
 }
 
-// setup propagates configuration to the flight caches once, on first use.
-func (h *Harness) setup() {
-	h.once.Do(func() {
-		h.profiles.retry = h.Retry
-		h.hints.retry = h.Retry
-		h.runs.retry = h.Retry
-	})
-}
-
 // lookup resolves a workload name through the configured hook.
 func (h *Harness) lookup(name string) (workload.Program, error) {
-	if h.Lookup != nil {
-		return h.Lookup(name)
+	if h.lookupFn != nil {
+		return h.lookupFn(name)
 	}
 	return workload.Get(name)
 }
 
 // newPredictor builds a predictor through the configured hook.
 func (h *Harness) newPredictor(spec string) (predictor.Predictor, error) {
-	if h.NewPredictor != nil {
-		return h.NewPredictor(spec)
+	if h.predictorFn != nil {
+		return h.predictorFn(spec)
 	}
 	return predictor.New(spec)
 }
@@ -190,7 +156,7 @@ func (h *Harness) feed(ctx context.Context, span *obs.Span, prog workload.Progra
 		// produce runs only in the capturing arm's goroutine: this arm is
 		// the one recording the shared stream.
 		if ts := span.Trace(); ts != nil {
-			h.Obs.NoteSpanKey(capKey, ts.Context())
+			h.obs.NoteSpanKey(capKey, ts.Context())
 		}
 		return workload.RunProgram(ctx, prog, input, r)
 	}
@@ -198,7 +164,7 @@ func (h *Harness) feed(ctx context.Context, span *obs.Span, prog workload.Progra
 	if src == replay.SourceCapture {
 		return obs.PhaseCapture, err
 	}
-	if sc, ok := h.Obs.SpanForKey(capKey); ok {
+	if sc, ok := h.obs.SpanForKey(capKey); ok {
 		span.Trace().Link(sc, "capture")
 	}
 	return obs.PhaseReplay, err
@@ -210,14 +176,14 @@ func (h *Harness) feed(ctx context.Context, span *obs.Span, prog workload.Progra
 // decomposable even when the work ran under another request's trace. No-op
 // unless the observer traces.
 func (h *Harness) linkFollower(ctx context.Context, start time.Time, name, key string, err error) {
-	fs, _ := h.Obs.StartSpan(ctx, name)
+	fs, _ := h.obs.StartSpan(ctx, name)
 	if fs == nil {
 		return
 	}
 	fs.SetStart(start)
 	fs.SetKey(key)
 	fs.SetSource(obs.SourceSingleflight)
-	if sc, ok := h.Obs.SpanForKey(key); ok {
+	if sc, ok := h.obs.SpanForKey(key); ok {
 		fs.Link(sc, "singleflight")
 	}
 	fs.End(err)
@@ -228,14 +194,14 @@ func (h *Harness) linkFollower(ctx context.Context, start time.Time, name, key s
 func (h *Harness) countPanic(err error) {
 	var pe *workload.PanicError
 	if errors.As(err, &pe) {
-		h.Obs.Counter(obs.MPanics).Add(1)
+		h.obs.Counter(obs.MPanics).Add(1)
 	}
 }
 
 // armCtx derives the context one uncached simulation runs under.
 func (h *Harness) armCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if h.ArmTimeout > 0 {
-		return context.WithTimeout(ctx, h.ArmTimeout)
+	if h.armTimeout > 0 {
+		return context.WithTimeout(ctx, h.armTimeout)
 	}
 	return context.WithCancel(ctx)
 }
@@ -274,9 +240,9 @@ func NewQuickHarness(opts ...HarnessOption) *Harness {
 }
 
 func (h *Harness) logf(format string, args ...any) {
-	if h.Log != nil {
+	if h.log != nil {
 		h.logMu.Lock()
-		fmt.Fprintf(h.Log, format+"\n", args...)
+		fmt.Fprintf(h.log, format+"\n", args...)
 		h.logMu.Unlock()
 	}
 }
@@ -286,7 +252,6 @@ func (h *Harness) logf(format string, args ...any) {
 // ctx (plus the per-arm deadline, if configured); failures are reported as
 // *ArmError and are not memoized, so a later call retries.
 func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*profile.DB, error) {
-	h.setup()
 	spec := predictor.Canonical(predSpec)
 	key := "p|" + wl + "|" + input + "|" + spec
 	var span *obs.Span
@@ -299,18 +264,18 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 		// accumulate onto the same span. StartArmCtx threads the winner's
 		// trace context down to nested work.
 		if attempts++; attempts == 1 {
-			span, ctx = h.Obs.StartArmCtx(ctx, "profile", key)
+			span, ctx = h.obs.StartArmCtx(ctx, "profile", key)
 			span.SetLabels(wl, input, spec, "")
 		} else {
 			span.AddRetry()
 		}
-		if h.Checkpoint != nil {
+		if h.checkpoint != nil {
 			endCk := span.Phase(obs.PhaseCheckpoint)
-			db, ok := h.Checkpoint.LookupProfile(key)
+			db, ok := h.checkpoint.LookupProfile(key)
 			endCk()
 			if ok {
 				h.checkpointHits.Add(1)
-				h.Obs.Counter(obs.MCheckpointHits).Add(1)
+				h.obs.Counter(obs.MCheckpointHits).Add(1)
 				span.SetSource(obs.SourceCheckpoint)
 				span.SetEvents(db.DynamicBranches())
 				h.logf("profile %-8s %-5s %-14s (checkpoint)", wl, input, spec)
@@ -351,8 +316,8 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 						return nil, err
 					}
 					db = profile.NewDB(wl, input)
-					r = sim.NewRunner(p, sim.WithLabels(wl, input), sim.WithCollisions(), sim.WithProfile(db), sim.WithObserver(h.Obs),
-						sim.WithTelemetry(telemetry.New(h.telemetry, h.Obs)))
+					r = sim.NewRunner(p, sim.WithLabels(wl, input), sim.WithCollisions(), sim.WithProfile(db), sim.WithObserver(h.obs),
+						sim.WithTelemetry(telemetry.New(h.telemetry, h.obs)))
 					return r, nil
 				})
 				span.AddPhase(phase, time.Since(t0))
@@ -369,9 +334,9 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 			return nil, err
 		}
 		h.profilesComputed.Add(1)
-		if h.Checkpoint != nil {
+		if h.checkpoint != nil {
 			endCk := span.Phase(obs.PhaseCheckpoint)
-			if err := h.Checkpoint.SaveProfile(key, db); err != nil {
+			if err := h.checkpoint.SaveProfile(key, db); err != nil {
 				h.logf("checkpoint: %v", err)
 			}
 			endCk()
@@ -380,7 +345,7 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 		return db, nil
 	})
 	if shared {
-		h.Obs.Counter(obs.MSingleflightHits).Add(1)
+		h.obs.Counter(obs.MSingleflightHits).Add(1)
 		h.linkFollower(ctx, started, "profile:wait", key, err)
 	} else {
 		h.countPanic(err)
@@ -446,7 +411,6 @@ func (h *Harness) Hints(ctx context.Context, a Arm) (*core.HintDB, error) {
 	if a.Scheme == "" || a.Scheme == "none" {
 		return nil, nil
 	}
-	h.setup()
 	profInput := a.ProfileInput
 	if profInput == "" {
 		profInput = a.input(h)
@@ -505,7 +469,6 @@ func (h *Harness) Run(ctx context.Context, a Arm) (sim.Metrics, error) {
 // (coalesced onto another caller's in-flight or memoized arm). The serve
 // daemon uses it to count per-tenant capture-cache savings.
 func (h *Harness) RunAttributed(ctx context.Context, a Arm) (sim.Metrics, string, error) {
-	h.setup()
 	spec := predictor.Canonical(a.Pred)
 	key := a.key() + "|" + a.input(h)
 	var span *obs.Span
@@ -514,18 +477,18 @@ func (h *Harness) RunAttributed(ctx context.Context, a Arm) (sim.Metrics, string
 	src := obs.SourceComputed
 	m, shared, err := h.runs.doShared(ctx, key, func() (sim.Metrics, error) {
 		if attempts++; attempts == 1 {
-			span, ctx = h.Obs.StartArmCtx(ctx, "run", key)
+			span, ctx = h.obs.StartArmCtx(ctx, "run", key)
 			span.SetLabels(a.Workload, a.input(h), spec, a.schemeLabel())
 		} else {
 			span.AddRetry()
 		}
-		if h.Checkpoint != nil {
+		if h.checkpoint != nil {
 			endCk := span.Phase(obs.PhaseCheckpoint)
-			m, ok := h.Checkpoint.LookupRun(key)
+			m, ok := h.checkpoint.LookupRun(key)
 			endCk()
 			if ok {
 				h.checkpointHits.Add(1)
-				h.Obs.Counter(obs.MCheckpointHits).Add(1)
+				h.obs.Counter(obs.MCheckpointHits).Add(1)
 				src = obs.SourceCheckpoint
 				span.SetSource(obs.SourceCheckpoint)
 				span.SetEvents(m.Branches)
@@ -562,8 +525,8 @@ func (h *Harness) RunAttributed(ctx context.Context, a Arm) (sim.Metrics, string
 					return nil, err
 				}
 				p := core.NewCombined(dyn, hints, a.Shift)
-				r = sim.NewRunner(p, sim.WithLabels(a.Workload, input), sim.WithCollisions(), sim.WithObserver(h.Obs),
-					sim.WithTelemetry(telemetry.New(h.telemetry, h.Obs)))
+				r = sim.NewRunner(p, sim.WithLabels(a.Workload, input), sim.WithCollisions(), sim.WithObserver(h.obs),
+					sim.WithTelemetry(telemetry.New(h.telemetry, h.obs)))
 				return r, nil
 			})
 			span.AddPhase(phase, time.Since(t0))
@@ -579,9 +542,9 @@ func (h *Harness) RunAttributed(ctx context.Context, a Arm) (sim.Metrics, string
 			return sim.Metrics{}, err
 		}
 		h.runsComputed.Add(1)
-		if h.Checkpoint != nil {
+		if h.checkpoint != nil {
 			endCk := span.Phase(obs.PhaseCheckpoint)
-			if err := h.Checkpoint.SaveRun(key, m); err != nil {
+			if err := h.checkpoint.SaveRun(key, m); err != nil {
 				h.logf("checkpoint: %v", err)
 			}
 			endCk()
@@ -592,7 +555,7 @@ func (h *Harness) RunAttributed(ctx context.Context, a Arm) (sim.Metrics, string
 	})
 	if shared {
 		src = obs.SourceSingleflight
-		h.Obs.Counter(obs.MSingleflightHits).Add(1)
+		h.obs.Counter(obs.MSingleflightHits).Add(1)
 		h.linkFollower(ctx, started, "run:wait", key, err)
 	} else {
 		h.countPanic(err)

@@ -198,6 +198,7 @@ func TestMetricsEndpointDuringSweep(t *testing.T) {
 	sseCtx, sseCancel := context.WithCancel(context.Background())
 	defer sseCancel()
 	sseFrames := make(chan int, 1)
+	sseSix := make(chan struct{}) // closed once the reader has counted 6 frames
 	sseErr := make(chan error, 1)
 	go func() {
 		req, err := http.NewRequestWithContext(sseCtx, "GET", "http://"+srv.Addr()+"/events", nil)
@@ -218,6 +219,9 @@ func TestMetricsEndpointDuringSweep(t *testing.T) {
 		for sc.Scan() {
 			if strings.HasPrefix(sc.Text(), "data: ") {
 				n++
+				if n == 6 {
+					close(sseSix)
+				}
 			}
 		}
 		sseFrames <- n
@@ -237,6 +241,13 @@ func TestMetricsEndpointDuringSweep(t *testing.T) {
 	close(done)
 	if err := <-pollErr; err != nil {
 		t.Fatal(err)
+	}
+	// The sweep returning does not mean its frames have reached the reader:
+	// some may still be queued on the bus. Cancel only once the reader has
+	// counted them, or at the deadline.
+	select {
+	case <-sseSix:
+	case <-time.After(5 * time.Second):
 	}
 	sseCancel()
 	select {

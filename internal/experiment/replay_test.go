@@ -53,16 +53,15 @@ func TestEquivalenceHarnessReplay(t *testing.T) {
 	}
 
 	var execs atomic.Int64
-	h := testHarness()
-	h.Replay = replay.New(4, 0, "")
-	defer h.Replay.Close()
-	h.Lookup = func(name string) (workload.Program, error) {
+	e := replay.New(4, 0, "")
+	defer e.Close()
+	h := testHarness(WithReplay(e), WithLookup(func(name string) (workload.Program, error) {
 		p, err := workload.Get(name)
 		if err != nil {
 			return nil, err
 		}
 		return countingProg{Program: p, execs: &execs}, nil
-	}
+	}))
 
 	got := make([]sim.Metrics, len(arms))
 	errs := make([]error, len(arms))
@@ -105,9 +104,9 @@ func TestHarnessReplayImprovement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h := testHarness()
-	h.Replay = replay.New(2, 0, "")
-	defer h.Replay.Close()
+	e := replay.New(2, 0, "")
+	defer e.Close()
+	h := testHarness(WithReplay(e))
 	got, err := h.Improvement(ctx, a)
 	if err != nil {
 		t.Fatal(err)
@@ -160,15 +159,15 @@ func TestBiasProfileBlockPathMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, replayed := range []bool{false, true} {
-		h := testHarness()
-		h.Replay = replay.New(2, 0, "")
+		e := replay.New(2, 0, "")
+		h := testHarness(WithReplay(e))
 		if replayed {
 			if _, err := h.Run(ctx, Arm{Workload: "compress", Pred: "gshare:1KB", Scheme: "none"}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		got, err := h.Profile(ctx, "compress", workload.InputTest, "")
-		h.Replay.Close()
+		e.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,8 +18,7 @@ import (
 // keep-going sweep completes the rest.
 func TestPanicFailsOnlyItsArm(t *testing.T) {
 	const poisoned = "gshare:2KB"
-	h := testHarness()
-	h.NewPredictor = func(spec string) (predictor.Predictor, error) {
+	h := testHarness(WithPredictorFactory(func(spec string) (predictor.Predictor, error) {
 		p, err := predictor.New(spec)
 		if err != nil || spec != poisoned {
 			return p, err
@@ -28,7 +27,7 @@ func TestPanicFailsOnlyItsArm(t *testing.T) {
 			Inner: p,
 			Plan:  faults.NewPlan(faults.Fault{At: 5000, Kind: faults.KindPanic, Msg: "table corrupted"}),
 		}, nil
-	}
+	}))
 
 	arms := []Arm{
 		{Workload: "compress", Pred: "gshare:1KB", Scheme: "none"},
@@ -101,9 +100,7 @@ func TestCheckpointResumeRecomputesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := testHarness()
-		h.Checkpoint = ck
-		return h
+		return testHarness(WithCheckpoint(ck))
 	}
 
 	// "Kill" the sweep after two arms: a first harness completes a prefix.
@@ -138,16 +135,16 @@ func TestCheckpointResumeRecomputesNothing(t *testing.T) {
 // harness retry policy: a predictor that errors transiently on its first
 // construction succeeds on the retry and the arm completes.
 func TestTransientArmFailureIsRetried(t *testing.T) {
-	h := testHarness()
-	h.Retry = RetryPolicy{Attempts: 3, Backoff: time.Millisecond}
 	attempts := 0
-	h.NewPredictor = func(spec string) (predictor.Predictor, error) {
-		attempts++
-		if attempts == 1 {
-			return nil, &faults.TransientError{Err: errors.New("predictor table mmap failed")}
-		}
-		return predictor.New(spec)
-	}
+	h := testHarness(
+		WithRetry(RetryPolicy{Attempts: 3, Backoff: time.Millisecond}),
+		WithPredictorFactory(func(spec string) (predictor.Predictor, error) {
+			attempts++
+			if attempts == 1 {
+				return nil, &faults.TransientError{Err: errors.New("predictor table mmap failed")}
+			}
+			return predictor.New(spec)
+		}))
 	m, err := h.Run(context.Background(), Arm{Workload: "compress", Pred: "gshare:1KB", Scheme: "none"})
 	if err != nil {
 		t.Fatalf("transient failure not retried: %v", err)
@@ -174,17 +171,16 @@ func TestCanceledContextStopsArm(t *testing.T) {
 	// Mid-run: a predictor that cancels the sweep's context partway
 	// through simulation. The event loop's periodic check must stop the
 	// run and report the context error, not a panic or a hang.
-	h2 := testHarness()
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	calls := 0
-	h2.NewPredictor = func(spec string) (predictor.Predictor, error) {
+	h2 := testHarness(WithPredictorFactory(func(spec string) (predictor.Predictor, error) {
 		p, err := predictor.New(spec)
 		if err != nil {
 			return nil, err
 		}
 		return cancelingPredictor{Predictor: p, after: 1000, cancel: cancel2, calls: &calls}, nil
-	}
+	}))
 	_, err := h2.Run(ctx2, Arm{Workload: "gcc", Pred: "gshare:1KB", Scheme: "none"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel err = %v", err)
@@ -215,20 +211,20 @@ func (p cancelingPredictor) Predict(pc uint64) bool {
 // resulting error wraps context.DeadlineExceeded inside an ArmError naming
 // the arm.
 func TestArmTimeoutNamesTheSlowArm(t *testing.T) {
-	h := testHarness()
-	h.ArmTimeout = 20 * time.Millisecond
-	h.NewPredictor = func(spec string) (predictor.Predictor, error) {
-		p, err := predictor.New(spec)
-		if err != nil {
-			return nil, err
-		}
-		// Stall long enough to blow the 20ms deadline before the
-		// simulation's next cooperative check.
-		return &faults.Predictor{
-			Inner: p,
-			Plan:  faults.NewPlan(faults.Fault{At: 1, Kind: faults.KindDelay, Delay: 50 * time.Millisecond}),
-		}, nil
-	}
+	h := testHarness(
+		WithArmTimeout(20*time.Millisecond),
+		WithPredictorFactory(func(spec string) (predictor.Predictor, error) {
+			p, err := predictor.New(spec)
+			if err != nil {
+				return nil, err
+			}
+			// Stall long enough to blow the 20ms deadline before the
+			// simulation's next cooperative check.
+			return &faults.Predictor{
+				Inner: p,
+				Plan:  faults.NewPlan(faults.Fault{At: 1, Kind: faults.KindDelay, Delay: 50 * time.Millisecond}),
+			}, nil
+		}))
 	_, err := h.Run(context.Background(), Arm{Workload: "compress", Pred: "gshare:1KB", Scheme: "none"})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)

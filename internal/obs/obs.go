@@ -141,9 +141,6 @@ func (o *Observer) TenantHistogram(name, tenant string) *Histogram {
 	return o.Registry().HistogramVec(name).With(tenant)
 }
 
-// TracingEnabled reports whether this observer publishes trace spans.
-func (o *Observer) TracingEnabled() bool { return o != nil && o.tracing }
-
 // Uptime reports how long the observer has existed — the run's elapsed wall
 // time for reporters. Zero for a nil observer.
 func (o *Observer) Uptime() time.Duration {

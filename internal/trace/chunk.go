@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// Chunk encoding (the trace format's version-2 records).
+// Chunk encoding (the records inside a trace file's frames).
 //
 // A chunk is a byte slice holding a run of uvarint records:
 //
@@ -21,9 +21,7 @@ import (
 // itself a valid record stream. The absolute form doubles as the overflow
 // escape: a delta whose zig-zag needs more than 62 bits (only adversarial
 // PC walks) is stored absolutely, which keeps the encoding lossless over
-// the full 64-bit address space, unlike the version-1 file records that
-// truncate PCs to 60 bits to pack delta, outcome and discriminator into a
-// single varint.
+// the full 64-bit address space.
 //
 // Consecutive Ops calls are coalesced into one record. Recorders only ever
 // sum instruction counts between branches, so every downstream total is

@@ -147,26 +147,30 @@ func TestDecodeChunkMalformed(t *testing.T) {
 	}
 }
 
-// TestChunkFileReader proves the spill/export framing: a ChunkFileHeader
-// followed by concatenated chunks is a trace file NewReader replays.
-func TestChunkFileReader(t *testing.T) {
+// twoChunkFile records a short stream as two ChunkWriter chunks and frames
+// them behind FramedFileHeader, the way the replay engine exports a trace.
+// It returns the file, both raw chunks and the recorded call sequence.
+func twoChunkFile() (file, first, second []byte, want *eventLog) {
 	var w ChunkWriter
-	var want eventLog
-	rec := Tee(&want, &w)
+	want = &eventLog{}
+	rec := Tee(want, &w)
 	rec.Branch(0x8000, true)
 	rec.Ops(12)
 	rec.Branch(0x8004, false)
-	first := w.Cut()
+	first = w.Cut()
 	rec.Ops(3)
-	rec.Branch(1<<62, true) // large jump, still lossless in version 2
-	second := w.Cut()
+	rec.Branch(1<<62, true) // large jump, still lossless
+	second = w.Cut()
+	file = AppendFrame(AppendFrame(FramedFileHeader(), first), second)
+	return file, first, second, want
+}
 
-	var buf bytes.Buffer
-	buf.Write(ChunkFileHeader())
-	buf.Write(first)
-	buf.Write(second)
-
-	r, err := NewReader(&buf)
+// TestChunkFileReader proves the spill/export framing: ChunkWriter chunks
+// framed behind FramedFileHeader are a trace file NewReader replays, call
+// for call.
+func TestChunkFileReader(t *testing.T) {
+	file, _, _, want := twoChunkFile()
+	r, err := NewReader(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}

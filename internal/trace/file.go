@@ -8,121 +8,35 @@ import (
 	"io"
 )
 
-// Binary trace file format (version 1).
+// Binary trace file format (version 3, "BTRC3\n").
 //
-// The file starts with the 6-byte magic "BTRC1\n" followed by a stream of
-// unsigned varints:
-//
-//	0              — an Ops record; the next uvarint is the instruction count
-//	v > 0          — a branch record encoding (delta<<1 | taken) + 1, where
-//	                 delta is the PC's zig-zag delta from the previous branch PC
-//
-// Delta encoding keeps files small because branch addresses are clustered:
-// the hot loops of a workload revisit nearby PCs.
-//
-// Branch addresses are stored modulo 2^60 so that the zig-zag delta, the
-// taken bit and the ops/branch discriminator all fit one 64-bit varint
-// without overflow. Real address spaces are far below 60 bits.
-//
-// Version 2 ("BTRC2\n") carries the chunk records documented in chunk.go:
-// self-contained chunks whose first branch is absolute, lossless over the
-// full 64-bit address space. Version 3 ("BTRC3\n") wraps each of those
-// chunks in a length-prefixed CRC32C frame (frame.go), so disk corruption
-// and torn tails are detected instead of replayed; the replay engine's
-// spilled and exported traces use it. Reader understands all three
-// versions; Writer still emits version 1, whose single-varint records are
-// smaller for the address ranges real workloads produce.
+// The file starts with the 6-byte magic "BTRC3\n" followed by any
+// concatenation of frames (frame.go), each holding one self-contained
+// chunk of records (chunk.go). Every chunk opens with an absolute branch,
+// so frames decode independently and PCs are lossless over the full 64-bit
+// address space; the per-frame CRC32C turns disk corruption and torn tails
+// into errors instead of replayed events. The replay engine's spilled and
+// exported traces (Trace.WriteTo) and bptrace's recordings use it.
 
-var traceMagic = []byte("BTRC1\n")
+var traceMagic = []byte("BTRC3\n")
 
-var traceMagic2 = []byte("BTRC2\n")
-
-var traceMagic3 = []byte("BTRC3\n")
-
-// ChunkFileHeader returns the header bytes of a version-2 (chunk-encoded)
-// trace file. A valid file is this header followed by any concatenation of
-// ChunkWriter chunks; NewReader decodes it like any other trace.
-func ChunkFileHeader() []byte { return append([]byte(nil), traceMagic2...) }
-
-// FramedFileHeader returns the header bytes of a version-3 (checksummed
-// framed-chunk) trace file: this header followed by any concatenation of
-// AppendFrame frames is a trace file NewReader decodes and verifies.
-func FramedFileHeader() []byte { return append([]byte(nil), traceMagic3...) }
+// FramedFileHeader returns the header bytes of a trace file: this header
+// followed by any concatenation of AppendFrame frames is a trace file
+// NewReader decodes and verifies.
+func FramedFileHeader() []byte { return append([]byte(nil), traceMagic...) }
 
 // ErrBadMagic is returned by NewReader when the input is not a trace file.
 var ErrBadMagic = errors.New("trace: bad magic, not a branch trace file")
-
-// Writer encodes a branch event stream to an io.Writer. It implements
-// Recorder; Close (or Flush) must be called to drain the internal buffer.
-type Writer struct {
-	w      *bufio.Writer
-	lastPC uint64
-	err    error
-	tmp    [2 * binary.MaxVarintLen64]byte
-}
-
-// NewWriter creates a trace Writer and emits the file header.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(traceMagic); err != nil {
-		return nil, fmt.Errorf("trace: writing header: %w", err)
-	}
-	return &Writer{w: bw}, nil
-}
 
 func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// pcMask truncates stored addresses to 60 bits (see the format comment).
-const pcMask = uint64(1)<<60 - 1
-
-// Branch implements Recorder. Addresses are recorded modulo 2^60.
-func (w *Writer) Branch(pc uint64, taken bool) {
-	if w.err != nil {
-		return
-	}
-	pc &= pcMask
-	delta := zigzag(int64(pc) - int64(w.lastPC))
-	w.lastPC = pc
-	v := delta << 1
-	if taken {
-		v |= 1
-	}
-	n := binary.PutUvarint(w.tmp[:], v+1)
-	_, w.err = w.w.Write(w.tmp[:n])
-}
-
-// Ops implements Recorder.
-func (w *Writer) Ops(n uint64) {
-	if w.err != nil || n == 0 {
-		return
-	}
-	k := binary.PutUvarint(w.tmp[:], 0)
-	k += binary.PutUvarint(w.tmp[k:], n)
-	_, w.err = w.w.Write(w.tmp[:k])
-}
-
-// Flush drains buffered output and reports any deferred write error.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
-}
-
-// Reader decodes a trace file (any format version) and replays it into
-// a Recorder. Version-3 files have every chunk frame's checksum verified
-// before any of its records are surfaced.
+// Reader decodes a trace file and replays it into a Recorder. Every
+// frame's checksum is verified before any of its records are surfaced.
 type Reader struct {
-	r       *bufio.Reader
-	lastPC  uint64
-	version int
-
-	// version-3 state: the current verified frame payload and the read
-	// cursor within it. The buffer is reused across frames.
-	frame    []byte
-	frameOff int
+	r     *bufio.Reader
+	frame []byte // the current frame's payload, reused across frames
 }
 
 // NewReader validates the header and returns a Reader.
@@ -132,166 +46,46 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
-	switch string(head) {
-	case string(traceMagic):
-		return &Reader{r: br, version: 1}, nil
-	case string(traceMagic2):
-		return &Reader{r: br, version: 2}, nil
-	case string(traceMagic3):
-		return &Reader{r: br, version: 3}, nil
+	if string(head) != string(traceMagic) {
+		return nil, ErrBadMagic
 	}
-	return nil, ErrBadMagic
+	return &Reader{r: br}, nil
 }
 
-// Next returns the next record. Exactly one of the following holds:
-// isBranch is true and (pc, taken) are valid; isBranch is false and ops is
-// valid; or err is non-nil (io.EOF at a clean end of stream).
-func (r *Reader) Next() (pc uint64, taken bool, ops uint64, isBranch bool, err error) {
-	switch r.version {
-	case 2:
-		return r.next2()
-	case 3:
-		return r.next3()
-	}
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return 0, false, 0, false, err
-	}
-	if v == 0 {
-		n, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, false, 0, false, fmt.Errorf("trace: truncated ops record: %w", err)
-		}
-		return 0, false, n, false, nil
-	}
-	v--
-	delta := unzigzag(v >> 1)
-	r.lastPC = uint64(int64(r.lastPC)+delta) & pcMask
-	return r.lastPC, v&1 == 1, 0, true, nil
-}
-
-// next2 decodes one version-2 (chunk) record.
-func (r *Reader) next2() (pc uint64, taken bool, ops uint64, isBranch bool, err error) {
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return 0, false, 0, false, err
-	}
-	switch v {
-	case chunkOps:
-		n, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, false, 0, false, fmt.Errorf("trace: truncated ops record: %w", err)
-		}
-		return 0, false, n, false, nil
-	case chunkAbs:
-		pc, err := binary.ReadUvarint(r.r)
-		if err == nil {
-			var t uint64
-			if t, err = binary.ReadUvarint(r.r); err == nil && t > 1 {
-				err = fmt.Errorf("%w: absolute branch outcome %d", ErrMalformedChunk, t)
-			} else if err == nil {
-				r.lastPC = pc
-				return pc, t == 1, 0, true, nil
-			}
-		}
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, false, 0, false, fmt.Errorf("trace: truncated branch record: %w", err)
-	default:
-		w := v - chunkDelta
-		r.lastPC += uint64(unzigzag(w >> 1))
-		return r.lastPC, w&1 == 1, 0, true, nil
-	}
-}
-
-// next3 decodes one record of a version-3 (framed chunk) file, loading and
-// verifying the next frame when the current one is exhausted. A frame's
-// records are surfaced only after its checksum passes, so a corrupt chunk
-// yields an error wrapping ErrCorrupt and zero of its events.
-func (r *Reader) next3() (pc uint64, taken bool, ops uint64, isBranch bool, err error) {
-	for r.frameOff >= len(r.frame) {
-		if err := r.loadFrame(); err != nil {
-			return 0, false, 0, false, err
-		}
-	}
-	data := r.frame[r.frameOff:]
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, false, 0, false, fmt.Errorf("%w: record header", ErrMalformedChunk)
-	}
-	r.frameOff += n
-	data = data[n:]
-	switch v {
-	case chunkOps:
-		c, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, false, 0, false, fmt.Errorf("%w: ops count", ErrMalformedChunk)
-		}
-		r.frameOff += n
-		return 0, false, c, false, nil
-	case chunkAbs:
-		pc, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, false, 0, false, fmt.Errorf("%w: absolute branch pc", ErrMalformedChunk)
-		}
-		r.frameOff += n
-		t, k := binary.Uvarint(data[n:])
-		if k <= 0 || t > 1 {
-			return 0, false, 0, false, fmt.Errorf("%w: absolute branch outcome", ErrMalformedChunk)
-		}
-		r.frameOff += k
-		r.lastPC = pc
-		return pc, t == 1, 0, true, nil
-	default:
-		w := v - chunkDelta
-		r.lastPC += uint64(unzigzag(w >> 1))
-		return r.lastPC, w&1 == 1, 0, true, nil
-	}
-}
-
-// loadFrame reads and verifies the next version-3 frame into r.frame. A
-// clean end of stream returns io.EOF; a frame torn by a crash mid-append or
-// failing its checksum returns an error wrapping ErrCorrupt. Empty frames
-// are legal and skipped by the caller's loop.
-func (r *Reader) loadFrame() error {
+// loadFrame reads the next frame's payload into r.frame and returns its
+// stored checksum. A clean end of stream returns io.EOF; a frame torn by a
+// crash mid-append returns an error wrapping ErrCorrupt.
+func (r *Reader) loadFrame() (uint32, error) {
 	n, err := binary.ReadUvarint(r.r)
 	if err == io.EOF {
-		return io.EOF // clean end between frames
+		return 0, io.EOF // clean end between frames
 	}
 	if err != nil {
-		return fmt.Errorf("%w: frame length: %v", ErrCorrupt, err)
+		return 0, fmt.Errorf("%w: frame length: %v", ErrCorrupt, err)
 	}
 	if n > maxFramePayload {
-		return fmt.Errorf("%w: frame length %d exceeds limit", ErrCorrupt, n)
+		return 0, fmt.Errorf("%w: frame length %d exceeds limit", ErrCorrupt, n)
 	}
 	var crcBuf [frameCRCLen]byte
 	if _, err := io.ReadFull(r.r, crcBuf[:]); err != nil {
-		return fmt.Errorf("%w: truncated frame checksum: %v", ErrCorrupt, err)
+		return 0, fmt.Errorf("%w: truncated frame checksum: %v", ErrCorrupt, err)
 	}
 	if cap(r.frame) < int(n) {
 		r.frame = make([]byte, n)
 	}
 	r.frame = r.frame[:n]
 	if _, err := io.ReadFull(r.r, r.frame); err != nil {
-		return fmt.Errorf("%w: truncated frame payload: %v", ErrCorrupt, err)
+		return 0, fmt.Errorf("%w: truncated frame payload: %v", ErrCorrupt, err)
 	}
-	if err := Verify(r.frame, binary.LittleEndian.Uint32(crcBuf[:])); err != nil {
-		return err
-	}
-	r.frameOff = 0
-	return nil
+	return binary.LittleEndian.Uint32(crcBuf[:]), nil
 }
 
-// Replay streams the whole remaining trace into rec. It returns the totals
-// observed. A Stop panic raised by rec (cooperative cancellation, e.g. a
-// sim.Runner built WithContext) is recovered and returned as its error.
+// Replay streams the whole remaining trace into rec, frame by frame, and
+// returns the totals observed. A frame that fails its checksum or holds
+// malformed records returns an error wrapping ErrCorrupt; rec has then
+// seen every earlier frame and none of a frame whose checksum failed. A
+// Stop panic raised by rec (cooperative cancellation, e.g. a sim.Runner
+// built WithContext) is recovered and returned as its error.
 func (r *Reader) Replay(rec Recorder) (c Counts, err error) {
 	defer func() {
 		if rv := recover(); rv != nil {
@@ -304,17 +98,18 @@ func (r *Reader) Replay(rec Recorder) (c Counts, err error) {
 	}()
 	tee := Tee(&c, rec)
 	for {
-		pc, taken, ops, isBranch, err := r.Next()
+		crc, err := r.loadFrame()
 		if err == io.EOF {
 			return c, nil
 		}
 		if err != nil {
 			return c, err
 		}
-		if isBranch {
-			tee.Branch(pc, taken)
-		} else {
-			tee.Ops(ops)
+		if err := Verify(r.frame, crc); err != nil {
+			return c, err
+		}
+		if err := DecodeChunk(r.frame, tee); err != nil {
+			return c, err
 		}
 	}
 }

@@ -9,15 +9,14 @@ import (
 
 // Chunk framing (the trace format's version-3 container).
 //
-// Version 2 stores chunks back to back with no integrity metadata: a
-// flipped bit in a spilled chunk either fails structurally (a truncated
-// varint) or — far worse — decodes into a *different* branch stream and
-// silently poisons every arm replaying it. Version 3 wraps each chunk in a
-// self-describing frame:
+// A bare chunk carries no integrity metadata: a flipped bit in a spilled
+// chunk either fails structurally (a truncated varint) or — far worse —
+// decodes into a *different* branch stream and silently poisons every arm
+// replaying it. Version 3 wraps each chunk in a self-describing frame:
 //
 //	uvarint len | crc32c (4 bytes, little-endian) | len payload bytes
 //
-// The payload is an unmodified version-2 chunk (chunk.go); the checksum is
+// The payload is an unmodified chunk (chunk.go); the checksum is
 // CRC32C (Castagnoli), hardware-accelerated on amd64/arm64 by hash/crc32,
 // computed over the payload alone. The length prefix makes a frame
 // skippable without decoding and turns a torn tail (a crash mid-append)

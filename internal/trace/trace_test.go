@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"io"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -77,23 +77,31 @@ func TestZigzagProperty(t *testing.T) {
 	}
 }
 
-func roundTrip(t *testing.T, events []Event, ops []uint64) (Counts, *Buffer) {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+// writeFile encodes events as a trace file the way the replay engine
+// exports one: ChunkWriter chunks, each in a frame behind FramedFileHeader.
+// ops[i] instructions follow event i, and a new frame starts every cut
+// branches (0 puts the whole stream in one frame).
+func writeFile(events []Event, ops []uint64, cut int) []byte {
+	var w ChunkWriter
+	file := FramedFileHeader()
 	for i, e := range events {
 		w.Branch(e.PC, e.Taken)
 		if i < len(ops) {
 			w.Ops(ops[i])
 		}
+		if cut > 0 && (i+1)%cut == 0 {
+			file = AppendFrame(file, w.Cut())
+		}
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+	if c := w.Cut(); c != nil {
+		file = AppendFrame(file, c)
 	}
-	r, err := NewReader(&buf)
+	return file
+}
+
+func roundTrip(t *testing.T, events []Event, ops []uint64, cut int) (Counts, *Buffer) {
+	t.Helper()
+	r, err := NewReader(bytes.NewReader(writeFile(events, ops, cut)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,20 +118,23 @@ func TestFileRoundTrip(t *testing.T) {
 		{0x1200_0000, true},
 		{0x1200_0004, false},
 		{0x1200_0004, true},
-		{0xffff_ffff_fffc, true}, // big jump
-		{0x10, false},            // big jump back
+		{0xffff_ffff_fffc, true},     // big jump
+		{0x10, false},                // big jump back
+		{math.MaxUint64 &^ 3, false}, // full 64-bit address
 	}
-	_, got := roundTrip(t, events, []uint64{3, 0, 1 << 33})
-	if len(got.Events) != len(events) {
-		t.Fatalf("replayed %d events, want %d", len(got.Events), len(events))
-	}
-	for i := range events {
-		if got.Events[i] != events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, got.Events[i], events[i])
+	for _, cut := range []int{0, 1, 2} {
+		counts, got := roundTrip(t, events, []uint64{3, 0, 1 << 33}, cut)
+		if len(got.Events) != len(events) {
+			t.Fatalf("cut %d: replayed %d events, want %d", cut, len(got.Events), len(events))
 		}
-	}
-	if got.Instructions != uint64(len(events))+3+(1<<33) {
-		t.Fatalf("instructions = %d", got.Instructions)
+		for i := range events {
+			if got.Events[i] != events[i] {
+				t.Fatalf("cut %d: event %d = %+v, want %+v", cut, i, got.Events[i], events[i])
+			}
+		}
+		if got.Instructions != uint64(len(events))+3+(1<<33) || counts != got.Counts {
+			t.Fatalf("cut %d: instructions = %d, counts = %+v", cut, got.Instructions, counts)
+		}
 	}
 }
 
@@ -133,11 +144,10 @@ func TestFileRoundTripProperty(t *testing.T) {
 		events := make([]Event, int(n))
 		var ops []uint64
 		for i := range events {
-			// the format stores addresses modulo 2^60
-			events[i] = Event{PC: rng.Uint64() & (1<<60 - 1) &^ 3, Taken: rng.Bool(0.5)}
+			events[i] = Event{PC: rng.Uint64(), Taken: rng.Bool(0.5)}
 			ops = append(ops, uint64(rng.Intn(100)))
 		}
-		_, got := roundTrip(t, events, ops)
+		_, got := roundTrip(t, events, ops, 1+int(seed%64))
 		if len(got.Events) != len(events) {
 			return false
 		}
@@ -153,10 +163,13 @@ func TestFileRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestReaderRejectsBadMagic covers foreign input and the retired
+// version-1 and version-2 headers: only BTRC3 files are read.
 func TestReaderRejectsBadMagic(t *testing.T) {
-	_, err := NewReader(strings.NewReader("NOTATRACEFILE"))
-	if err != ErrBadMagic {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
+	for _, head := range []string{"NOTATRACEFILE", "BTRC1\n", "BTRC2\n\x01\x10\x01"} {
+		if _, err := NewReader(strings.NewReader(head)); err != ErrBadMagic {
+			t.Errorf("NewReader(%q) err = %v, want ErrBadMagic", head, err)
+		}
 	}
 }
 
@@ -167,60 +180,58 @@ func TestReaderShortHeader(t *testing.T) {
 	}
 }
 
+// TestReaderTruncatedOpsRecord frames a chunk whose last record is an ops
+// marker with no count. The frame passes its checksum, so only the record
+// decoder can catch it, and it must report corruption.
 func TestReaderTruncatedOpsRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var w ChunkWriter
 	w.Branch(0x10, true)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// append a bare ops marker with no count
-	buf.WriteByte(0)
-	r, err := NewReader(&buf)
+	payload := append(w.Cut(), chunkOps)
+	r, err := NewReader(bytes.NewReader(AppendFrame(FramedFileHeader(), payload)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Replay(Discard); err == nil {
-		t.Fatalf("truncated ops record accepted")
+	c, err := r.Replay(Discard)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated ops record: err = %v, want ErrCorrupt", err)
+	}
+	if c.Branches != 1 {
+		t.Fatalf("replayed %d branches before the bad record, want 1", c.Branches)
 	}
 }
 
 func TestReaderCleanEOF(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Flush()
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, _, err := r.Next(); err != io.EOF {
-		t.Fatalf("empty trace Next = %v, want io.EOF", err)
+	for name, file := range map[string][]byte{
+		"header only": FramedFileHeader(),
+		"empty frame": AppendFrame(FramedFileHeader(), nil),
+	} {
+		r, err := NewReader(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := r.Replay(Discard); err != nil || c != (Counts{}) {
+			t.Fatalf("%s: Replay = %+v, %v; want empty counts and no error", name, c, err)
+		}
 	}
 }
 
 func TestWriterSkipsZeroOps(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	var w ChunkWriter
 	w.Ops(0)
-	w.Flush()
-	if buf.Len() != len("BTRC1\n") {
-		t.Fatalf("zero-ops record was written (%d bytes)", buf.Len())
+	if c := w.Cut(); c != nil {
+		t.Fatalf("zero-ops record was written (%d bytes)", len(c))
 	}
 }
 
 // Delta encoding should keep clustered streams compact: consecutive nearby
 // PCs must average only a couple of bytes per branch.
 func TestFileCompactness(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	for i := 0; i < 10000; i++ {
-		w.Branch(0x1200_0000+uint64(i%32)*4, i%3 == 0)
+	events := make([]Event, 10000)
+	for i := range events {
+		events[i] = Event{PC: 0x1200_0000 + uint64(i%32)*4, Taken: i%3 == 0}
 	}
-	w.Flush()
-	if perBranch := float64(buf.Len()) / 10000; perBranch > 2.0 {
+	file := writeFile(events, nil, DefaultBlockEvents)
+	if perBranch := float64(len(file)) / 10000; perBranch > 2.0 {
 		t.Fatalf("%.2f bytes/branch for a clustered stream", perBranch)
 	}
 }
