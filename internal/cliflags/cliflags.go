@@ -67,9 +67,9 @@ func (r *Replay) Register(fs *flag.FlagSet) {
 	fs.IntVar(&r.Workers, "workers", runtime.GOMAXPROCS(0), "concurrent trace replays in the capture-once engine")
 	fs.BoolVar(&r.NoReplay, "no-replay", false, "execute the workload for every arm instead of capturing its branch stream once and replaying it")
 	fs.BoolVar(&r.NoBatch, "no-batch", false, "replay per-event through the scalar Predict/Update protocol instead of the batched block kernel (results are bit-identical; this is an escape hatch and benchmarking baseline)")
-	fs.IntVar(&r.MemMB, "replay-mem", 512, "in-memory budget for captured traces, in MiB; beyond it chunks spill to disk (0 = unlimited)")
+	fs.IntVar(&r.MemMB, "replay-mem", 512, "in-memory budget for captured traces, decoded and encoded chunks alike, in MiB; beyond it chunks are encoded and spill to disk (0 = unlimited)")
 	fs.StringVar(&r.SpillDir, "replay-spill", "", "directory for spilled trace chunks (default: the system temp directory)")
-	fs.BoolVar(&r.VerifyChunks, "verify-chunks", true, "CRC32C-verify every captured trace chunk before replaying it; corrupt chunks are quarantined and the capture retried")
+	fs.BoolVar(&r.VerifyChunks, "verify-chunks", true, "CRC32C-verify every encoded trace chunk before replaying it; corrupt chunks are quarantined and the capture retried")
 	fs.StringVar(&r.QuarantineDir, "quarantine-dir", "", "preserve corrupt trace chunks and spill files in this directory for post-mortem (default: discard them)")
 }
 

@@ -28,8 +28,8 @@ const (
 	// MReplayChunksSpilled counts sealed chunks that went to the spill file.
 	MReplayChunksSpilled = "replay.chunks_spilled"
 	// MReplayChunksReplayed counts chunks fed to replaying arms, whether
-	// decoded from their encoded bytes or served from the decoded-block
-	// cache (MReplayChunkDecode times only the former).
+	// decoded from their encoded bytes or fed from their in-memory decoded
+	// arrays (MReplayChunkDecode times only the former).
 	MReplayChunksReplayed = "replay.chunks_replayed"
 	// MReplayChunksQuarantined counts chunks that failed checksum
 	// verification and were quarantined aside instead of replayed.
@@ -37,8 +37,8 @@ const (
 	// MReplaySpillErrors counts spill-file write failures (ENOSPC, I/O
 	// errors) that downgraded a capture to keeping chunks in memory.
 	MReplaySpillErrors = "replay.spill_errors"
-	// MReplayMemBytes (gauge) is the engine's current in-memory encoded
-	// trace occupancy, in bytes.
+	// MReplayMemBytes (gauge) is the engine's current in-memory trace
+	// occupancy, decoded and encoded chunks alike, in bytes.
 	MReplayMemBytes = "replay.mem_bytes"
 	// MReplayPoolWaiting (gauge) is the number of replays currently blocked
 	// waiting for a worker-pool slot.

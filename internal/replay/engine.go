@@ -34,8 +34,8 @@ type Engine struct {
 	logf    func(format string, args ...any)
 
 	sem     chan struct{}
-	mem     atomic.Int64
-	decMem  atomic.Int64  // decoded-block cache bytes (see decodedCacheBudget)
+	mem     atomic.Int64  // in-memory chunk bytes, decoded and encoded
+	decMem  atomic.Int64  // decoded chunk bytes (see decodedCacheBudget)
 	quarSeq atomic.Uint64 // names quarantined chunk files uniquely
 
 	// Observability handles (nil when unobserved; all are nil-safe no-ops
@@ -69,14 +69,14 @@ func WithVerify(on bool) Option { return func(e *Engine) { e.verify = on } }
 
 // WithBatch toggles the batched replay kernel (the default is on). When on,
 // a recorder that consumes blocks (trace.BlockSink — sim.Runner and the
-// harness's bias-only profiler do) is fed whole decoded blocks instead of
-// per-event Branch calls, and a capturing arm of that kind records the
-// stream first and then block-replays its own capture, instead of
-// simulating per-event inside the instrumented execution; the capture's
-// decoded blocks are cached for the arms that replay it. Results are
-// bit-identical either way — the differential tests prove it — so off is
-// purely an escape hatch (the CLIs expose it as -no-batch) and the scalar
-// baseline for benchmarks.
+// harness's bias-only profiler do) is fed whole blocks instead of per-event
+// Branch calls, and a capturing arm of that kind is fed each chunk's
+// decoded arrays as the chunk seals, instead of simulating per-event inside
+// the instrumented execution. When off, every recorder gets per-event
+// Branch and Ops calls, through a tee while capturing and from the chunks
+// when replaying. Results are bit-identical either way — the differential
+// tests prove it — so off is purely an escape hatch (the CLIs expose it as
+// -no-batch) and the scalar baseline for benchmarks.
 func WithBatch(on bool) Option { return func(e *Engine) { e.batch = on } }
 
 // WithQuarantine sets the directory corrupt chunks are preserved in for
@@ -97,11 +97,13 @@ func WithLogf(logf func(format string, args ...any)) Option {
 }
 
 // New returns an engine. workers bounds concurrent replay decodes (<= 0
-// means GOMAXPROCS); memBudget bounds the total bytes of encoded trace
-// held in memory across all captures, beyond which chunks spill to disk
-// (<= 0 means unlimited, nothing spills); spillDir is where spill files go
-// ("" means the system temp directory). Chunk checksum verification is on
-// unless WithVerify(false) says otherwise.
+// means GOMAXPROCS); memBudget bounds the total bytes of captured chunks
+// held in memory across all captures, decoded arrays and encoded records
+// alike: a chunk that does not fit decoded is encoded, and one that does
+// not fit encoded either spills to disk (<= 0 means unlimited, nothing
+// spills); spillDir is where spill files go ("" means the system temp
+// directory). Chunk checksum verification is on unless WithVerify(false)
+// says otherwise.
 func New(workers int, memBudget int64, spillDir string, opts ...Option) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -190,7 +192,7 @@ func (e *Engine) drop(t *Trace) {
 }
 
 // wantSpill reports whether an additional n in-memory bytes would exceed
-// the engine's budget.
+// the engine's memory budget.
 func (e *Engine) wantSpill(n int64) bool {
 	return e.budget > 0 && e.mem.Load()+n > e.budget
 }
@@ -209,7 +211,8 @@ func (e *Engine) acquireSlot(ctx context.Context) error {
 
 func (e *Engine) releaseSlot() { <-e.sem }
 
-// MemBytes reports the encoded trace bytes currently held in memory.
+// MemBytes reports the captured chunk bytes currently held in memory,
+// decoded and encoded.
 func (e *Engine) MemBytes() int64 { return e.mem.Load() }
 
 // Trace returns the cached capture for key, when one is live — e.g. to
@@ -294,19 +297,11 @@ func (e *Engine) RunSourced(ctx context.Context, key string, produce func(trace.
 			return trace.Counts{}, SourceReplay, err
 		}
 		if capturer {
-			var c trace.Counts
-			if sink, ok := rec.(trace.BlockSink); e.batch && ok {
-				// Batched capture: record the stream without the per-event
-				// tee, feeding the arm whole decoded blocks as each chunk
-				// seals. The instrumented execution pays only array appends,
-				// the arm runs block-wise (devirtualized, when its predictor
-				// has a kernel), and the decoded chunks fill the cache, so no
-				// replaying arm decodes them again. Provenance stays
-				// SourceCapture: this arm executed the workload.
-				c, err = t.captureBatch(produce, sink)
-			} else {
-				c, err = t.capture(produce, rec)
-			}
+			// In batch mode a block-consuming arm is fed each chunk's
+			// decoded arrays as the chunk seals: the instrumented execution
+			// pays only array appends and the arm runs block-wise.
+			// Provenance stays SourceCapture: this arm executed the workload.
+			c, err := t.capture(produce, rec)
 			if err == nil {
 				e.obsCaptures.Add(1)
 			}

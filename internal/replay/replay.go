@@ -3,28 +3,33 @@
 // Every uncached arm of a sweep used to re-execute the full instrumented
 // workload just to regenerate the identical (PC, taken) stream; for the
 // paper's grid the workload cost is pure replication. This package records
-// a workload's branch stream once — into compact, self-contained encoded
-// chunks (delta-encoded PCs plus outcome bits, see trace/chunk.go) — and
-// feeds any number of predictor arms from that buffer. Chunks are published
-// as they are sealed, so arms replay concurrently *with* the capture, not
-// after it; a bounded worker pool caps how many replays decode at once.
+// a workload's branch stream once — into chunks of decoded parallel arrays
+// (PC, outcome, preceding straight-line run) ready for the block kernels —
+// and feeds any number of predictor arms from that buffer. Chunks are
+// published as they are sealed, so arms replay concurrently *with* the
+// capture, not after it; a bounded worker pool caps how many replays run at
+// once.
 //
-// Memory is bounded: once the engine's budget of in-memory encoded bytes is
-// exhausted, further chunks spill to a temp file in internal/trace's
-// version-3 (checksummed framed-chunk) file format, and replay cursors read
-// them back with ReadAt. Because every chunk is self-contained, a spill
-// file (or a full export via Trace.WriteTo) is itself a valid trace file
-// for trace.NewReader.
+// Memory is bounded: the engine's budget counts every in-memory chunk byte.
+// A chunk is encoded into compact, self-contained records (delta-encoded
+// PCs plus outcome bits, see trace/chunk.go) and checksummed only when it
+// leaves decoded form: when the decoded arrays would overrun the budget or
+// the engine's decoded cap, and on export. Once the budget is exhausted,
+// encoded chunks spill to a temp file in internal/trace's version-3
+// (checksummed framed-chunk) file format, and replay cursors read them back
+// with ReadAt. Because every chunk is self-contained, a spill file (or a
+// full export via Trace.WriteTo) is itself a valid trace file for
+// trace.NewReader.
 //
-// Durability is policy, not best-effort: every sealed chunk carries its
-// capture-time CRC32C, verified (by default) on every replay. A chunk that
-// fails verification — or fails structurally during decode — is never
-// partially trusted: the engine quarantines the evidence, drops the trace,
-// and the waiting arms transparently recapture the stream from the
-// workload, exactly as they do when a capturer panics. A spill write that
-// fails (ENOSPC, I/O error) downgrades the capture to in-memory chunks:
-// correctness over the memory budget, with the downgrade counted and
-// logged.
+// Durability is policy, not best-effort: every encoded chunk carries the
+// CRC32C taken when it was encoded, verified (by default) on every replay.
+// A chunk that fails verification — or fails structurally during decode —
+// is never partially trusted: the engine quarantines the evidence, drops
+// the trace, and the waiting arms transparently recapture the stream from
+// the workload, exactly as they do when a capturer panics. A spill write
+// that fails (ENOSPC, I/O error) downgrades the capture to in-memory
+// chunks: correctness over the memory budget, with the downgrade counted
+// and logged.
 //
 // The resilience semantics of the experiment pipeline are preserved: every
 // capture and replay runs under the caller's context, a panicking arm fails
@@ -38,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,11 +51,11 @@ import (
 	"branchsim/internal/trace"
 )
 
-// chunkTarget is the seal threshold for one encoded chunk. At roughly two
-// to three bytes per event this is ~16k–32k branches — the same order as
-// the simulator's cancellation cadence, so a cancelled replay stops fast,
-// while the per-chunk synchronization stays invisible in the event loop.
-const chunkTarget = 64 << 10
+// chunkEvents is how many branches one chunk holds: the capture seals a
+// chunk every chunkEvents branches. It matches the simulator's cancellation
+// cadence, so a cancelled replay stops fast, while the per-chunk
+// synchronization stays invisible in the event loop.
+const chunkEvents = 16 << 10
 
 // ErrCaptureFailed reports that the goroutine recording a shared trace
 // failed before sealing it. Replayers receiving it (wrapped around the
@@ -57,22 +63,22 @@ const chunkTarget = 64 << 10
 // does this automatically.
 var ErrCaptureFailed = errors.New("replay: capture failed")
 
-// chunk is one sealed span of the encoded stream.
+// chunk is one sealed span of the stream, held in exactly one form: decoded
+// arrays in memory, or encoded records in memory or in the spill file.
 type chunk struct {
-	data []byte // encoded records; nil once spilled
-	off  int64  // offset of the records in the spill file, when spilled
+	dec  *decoded // decoded form; nil once the chunk is encoded
+	data []byte   // encoded records held in memory; nil when decoded or spilled
+	off  int64    // offset of the records in the spill file, when spilled
 	size int
-	crc  uint32   // capture-time CRC32C of the encoded records
-	dec  *decoded // decoded-block cache; nil when spilled or over budget
+	crc  uint32 // CRC32C of the encoded records, taken when they were encoded
 }
 
-// decoded is one chunk's event stream in decoded block form: parallel
-// arrays ready for a BlockSink, populated by the capture as it encodes.
-// Replay cursors whose recorder consumes blocks feed straight from it,
-// skipping the per-replay chunk decode; the arrays are shared and read-only.
-// The encoded chunk stays the source of truth — spilled chunks (the engine
-// is under memory pressure) and streams past the cache budget carry no
-// decoded form and replay through the decoder as usual.
+// decoded is one chunk's event stream as parallel arrays, filled by the
+// capture as events arrive. It is the in-memory form of every chunk that
+// fits the engine's budgets: replay cursors feed it to block sinks whole and
+// to event-only recorders per event. A chunk that does not fit is encoded
+// as it seals (seal), and an exported one as it is written (WriteTo). Once
+// sealed, the arrays are shared and read-only.
 type decoded struct {
 	pcs    []uint64
 	taken  []bool
@@ -81,9 +87,9 @@ type decoded struct {
 	tail   uint64   // trailing straight-line run after the last branch
 }
 
-// bytes is the cache accounting size of the decoded form.
+// bytes is the memory the decoded arrays hold.
 func (d *decoded) bytes() int64 {
-	return int64(len(d.pcs))*17 + 8
+	return int64(cap(d.pcs)*8 + cap(d.taken) + cap(d.ops)*8)
 }
 
 // feed replays the decoded chunk into a block sink. Sinks that accept a
@@ -102,20 +108,42 @@ func (d *decoded) feed(sink trace.BlockSink) {
 	}
 }
 
-// decodedCacheBudget bounds the decoded-block bytes cached per engine.
-// Decoded form costs 17 bytes per branch against about 3.8 encoded (~4.4x),
-// so the cache is the first thing to give up under pressure: streams past
-// the budget replay through the chunk decoder exactly as spilled ones do.
+// events replays the decoded chunk into an event-only recorder: the calls
+// trace.DecodeChunk makes on the chunk's encoding, in the same order.
+func (d *decoded) events(rec trace.Recorder) {
+	for i, pc := range d.pcs {
+		if o := d.ops[i]; o != 0 {
+			rec.Ops(o)
+		}
+		rec.Branch(pc, d.taken[i])
+	}
+	if d.tail > 0 {
+		rec.Ops(d.tail)
+	}
+}
+
+// encode returns the chunk as self-contained trace records: the bytes w
+// writes when fed the chunk's events one by one and cut.
+func (d *decoded) encode(w *trace.ChunkWriter) []byte {
+	d.events(w)
+	return w.Cut()
+}
+
+// decodedCacheBudget bounds the decoded bytes held per engine. Decoded form
+// costs 17 bytes per branch against about 3.8 encoded (~4.4x), so past this
+// budget chunks are encoded as they seal and replay through the chunk
+// decoder, from memory or from the spill file.
 const decodedCacheBudget = 256 << 20
 
-// Trace is one captured branch stream: a sequence of self-contained encoded
-// chunks plus the stream totals. Chunks appear while the capture is still
-// running, so replays overlap it.
+// Trace is one captured branch stream: a sequence of self-contained chunks
+// plus the stream totals. Chunks appear while the capture is still running,
+// so replays overlap it.
 type Trace struct {
 	e   *Engine
 	key string
 
 	// capture-side state, touched only by the capturing goroutine
+	enc         trace.ChunkWriter // encodes the chunks that leave memory
 	spill       fsx.File
 	spillSize   int64
 	spillBroken bool
@@ -127,7 +155,7 @@ type Trace struct {
 	err         error        // capture failure, wrapped in ErrCaptureFailed
 	counts      trace.Counts // stream totals, valid once done with nil err
 	memBytes    int64        // in-memory chunk bytes, counted against e.mem
-	decBytes    int64        // decoded-cache bytes, counted against e.decMem
+	decBytes    int64        // decoded chunk bytes, counted against e.decMem
 	readers     int
 	dropped     bool
 	capturing   bool // the capture goroutine may still write the spill file
@@ -144,175 +172,115 @@ func (t *Trace) broadcastLocked() {
 	t.notify = make(chan struct{})
 }
 
-// captureRec is the Recorder the capture drives: it counts the stream and
-// encodes it into sealed chunks. On the batch self-feed path (captureBatch)
-// it additionally accumulates each chunk's decoded form, hands it to the
-// capturing arm as the chunk seals, and offers it to the decoded
-// cache for the replaying arms.
+// captureRec is the Recorder the capture drives: it appends every event
+// straight to the open chunk's decoded arrays and seals the chunk each
+// chunkEvents branches. On the batch path (sink set) each sealed chunk is
+// then fed to the capturing arm.
 type captureRec struct {
-	trace.Counts
-	t *Trace
-	w trace.ChunkWriter
-
+	t       *Trace
+	counts  trace.Counts    // totals of the chunks sealed so far
 	sink    trace.BlockSink // the capturing arm; nil on the tee path
-	dec     decoded         // decoded form of the chunk being collected
+	dec     decoded         // the open chunk
 	pending uint64          // straight-line run awaiting its branch
+}
+
+func newCaptureRec(t *Trace, sink trace.BlockSink) *captureRec {
+	c := &captureRec{t: t, sink: sink}
+	c.open()
+	return c
+}
+
+// open starts the next chunk's arrays at their full size, so appends never
+// regrow them.
+func (c *captureRec) open() {
+	c.dec = decoded{
+		pcs:   make([]uint64, 0, chunkEvents),
+		taken: make([]bool, 0, chunkEvents),
+		ops:   make([]uint64, 0, chunkEvents),
+	}
 }
 
 // Branch implements trace.Recorder.
 func (c *captureRec) Branch(pc uint64, taken bool) {
-	c.Counts.Branch(pc, taken)
-	c.w.Branch(pc, taken)
-	if c.sink != nil {
-		c.dec.pcs = append(c.dec.pcs, pc)
-		c.dec.taken = append(c.dec.taken, taken)
-		c.dec.ops = append(c.dec.ops, c.pending)
-		c.dec.opsSum += c.pending
-		c.pending = 0
-	}
-	if c.w.Len() >= chunkTarget {
+	d := &c.dec
+	d.pcs = append(d.pcs, pc)
+	d.taken = append(d.taken, taken)
+	d.ops = append(d.ops, c.pending)
+	d.opsSum += c.pending
+	c.pending = 0
+	if len(d.pcs) == chunkEvents {
 		c.cut()
 	}
 }
 
 // Ops implements trace.Recorder.
-func (c *captureRec) Ops(n uint64) {
-	c.Counts.Ops(n)
-	c.w.Ops(n)
-	if c.sink != nil {
-		c.pending += n
-	}
-}
+func (c *captureRec) Ops(n uint64) { c.pending += n }
 
-// RunBlock implements trace.BlockSink: the bulk form of Branch/Ops used when
-// the workload records through a trace.Batcher. The encoded bytes, the
-// counts, the chunk cut points and the decoded cache contents are identical
-// to per-event delivery — the decoded arrays are split at exactly the events
-// where the encoder crosses the chunk threshold — only the per-event call
-// overhead goes away.
-func (c *captureRec) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
-	taken = taken[:len(pcs)]
-	ops = ops[:len(pcs)]
-	var ins, tk uint64
-	for i, o := range ops {
-		ins += o
-		if taken[i] {
-			tk++
-		}
-	}
-	c.Counts.Instructions += ins + uint64(len(pcs))
-	c.Counts.Branches += uint64(len(pcs))
-	c.Counts.TakenCount += tk
-	start := 0
-	for i, pc := range pcs {
-		if o := ops[i]; o != 0 {
-			c.w.Ops(o)
-		}
-		c.w.Branch(pc, taken[i])
-		if c.w.Len() >= chunkTarget {
-			c.bulkDecoded(pcs[start:i+1], taken[start:i+1], ops[start:i+1])
-			start = i + 1
-			c.cut()
-		}
-	}
-	c.bulkDecoded(pcs[start:], taken[start:], ops[start:])
-}
-
-// bulkDecoded appends one cut-aligned run of events to the chunk's decoded
-// form, folding any straight-line run delivered before it (c.pending) into
-// the first event's charge — exactly the arrays per-event Branch would have
-// built.
-func (c *captureRec) bulkDecoded(pcs []uint64, taken []bool, ops []uint64) {
-	if c.sink == nil || len(pcs) == 0 {
-		return
-	}
-	c.dec.pcs = append(c.dec.pcs, pcs...)
-	c.dec.taken = append(c.dec.taken, taken...)
-	n := len(c.dec.ops)
-	c.dec.ops = append(c.dec.ops, ops...)
-	c.dec.ops[n] += c.pending
-	var sum uint64
-	for _, o := range ops {
-		sum += o
-	}
-	c.dec.opsSum += sum + c.pending
-	c.pending = 0
-}
-
-// takeDecoded detaches the accumulated decoded form — nil on the tee path —
-// stamping the trailing straight-line run the encoder flushes on Cut. The
-// returned arrays are never touched again by the capture, so they are safe
-// to share with concurrent replay cursors.
-func (c *captureRec) takeDecoded() *decoded {
-	if c.sink == nil {
-		return nil
-	}
-	d := c.dec
-	d.tail = c.pending
-	c.pending = 0
-	c.dec = decoded{}
-	// Pre-size the next chunk's arrays from this one: chunks seal at a fixed
-	// encoded size, so consecutive event counts track closely and the appends
-	// above stop paying growth copies after the first chunk.
-	if n := len(d.pcs); n > 0 {
-		n += n / 8
-		c.dec.pcs = make([]uint64, 0, n)
-		c.dec.taken = make([]bool, 0, n)
-		c.dec.ops = make([]uint64, 0, n)
-	}
-	return &d
-}
-
-// cut seals the chunk collected so far; on the batch self-feed path the
-// decoded form goes to the cache and then straight to the capturing arm.
+// cut seals the full open chunk and opens the next; on the batch path the
+// sealed chunk then goes to the capturing arm.
 func (c *captureRec) cut() {
-	data := c.w.Cut()
-	d := c.takeDecoded()
-	c.t.seal(data, d)
-	if d != nil {
+	d := c.take()
+	c.open()
+	c.t.seal(d)
+	if c.sink != nil {
 		d.feed(c.sink)
 	}
 }
 
-// seal publishes one finished chunk, spilling it to disk when the engine's
-// in-memory budget is exhausted. A failed spill write degrades to keeping
-// the chunk in memory — correctness over the budget — and is counted and
-// logged once per capture. d, when non-nil, is the chunk's decoded form; it
-// is cached for replay cursors while the chunk stays in memory and the
-// engine's decoded budget lasts.
-func (t *Trace) seal(data []byte, d *decoded) {
-	if len(data) == 0 {
-		return
-	}
-	ck := chunk{size: len(data), crc: trace.Checksum(data)}
-	spilled := false
-	if t.e.wantSpill(int64(len(data))) && !t.spillBroken {
-		if off, err := t.writeSpill(data, ck.crc); err != nil {
-			t.spillBroken = true
-			t.e.obsSpillErrors.Add(1)
-			t.e.logef("replay: spill write failed (%v); capture continues in memory over budget", err)
-		} else {
-			ck.off = off
-			spilled = true
+// take detaches the open chunk, stamped with the trailing straight-line run,
+// and adds it to the stream totals. The capture never writes the detached
+// arrays again, so replay cursors may share them.
+func (c *captureRec) take() *decoded {
+	d := c.dec
+	d.tail, c.pending = c.pending, 0
+	n := uint64(len(d.pcs))
+	c.counts.Branches += n
+	c.counts.Instructions += n + d.opsSum + d.tail
+	for _, tk := range d.taken {
+		if tk {
+			c.counts.TakenCount++
 		}
 	}
-	if !spilled {
-		ck.data = data
+	return &d
+}
+
+// seal publishes one finished chunk in the form the engine's budgets allow.
+// It stays decoded while both the memory budget and decodedCacheBudget have
+// room for its arrays. Otherwise it is encoded and checksummed, then kept in
+// memory if the memory budget has room for the records, or else spilled to
+// disk. A failed spill write degrades to keeping the records in memory —
+// correctness over the budget — and is counted and logged once per capture.
+func (t *Trace) seal(d *decoded) {
+	if len(d.pcs) == 0 && d.tail == 0 {
+		return
 	}
-	t.e.obsChunksCaptured.Add(1)
-	if spilled {
-		t.e.obsChunksSpilled.Add(1)
+	e := t.e
+	ck, n := chunk{dec: d}, d.bytes()
+	if e.wantSpill(n) || e.decMem.Load()+n > decodedCacheBudget {
+		data := d.encode(&t.enc)
+		ck = chunk{data: data, size: len(data), crc: trace.Checksum(data)}
+		n = int64(len(data))
+		if e.wantSpill(n) && !t.spillBroken {
+			if off, err := t.writeSpill(data, ck.crc); err != nil {
+				t.spillBroken = true
+				e.obsSpillErrors.Add(1)
+				e.logef("replay: spill write failed (%v); capture continues in memory over budget", err)
+			} else {
+				ck.data, ck.off, n = nil, off, 0
+				e.obsChunksSpilled.Add(1)
+			}
+		}
 	}
+	e.obsChunksCaptured.Add(1)
 	t.mu.Lock()
-	if ck.data != nil && !t.dropped {
-		t.memBytes += int64(len(ck.data))
-		t.e.mem.Add(int64(len(ck.data)))
-		t.e.obsMem.Set(t.e.mem.Load())
-	}
-	if d != nil && !spilled && !t.dropped && t.e.decMem.Load()+d.bytes() <= decodedCacheBudget {
-		ck.dec = d
-		t.decBytes += d.bytes()
-		t.e.decMem.Add(d.bytes())
+	if !t.dropped {
+		t.memBytes += n
+		e.mem.Add(n)
+		e.obsMem.Set(e.mem.Load())
+		if ck.dec != nil {
+			t.decBytes += n
+			e.decMem.Add(n)
+		}
 	}
 	t.chunks = append(t.chunks, ck)
 	t.broadcastLocked()
@@ -355,20 +323,21 @@ func (t *Trace) writeSpill(data []byte, crc uint32) (int64, error) {
 }
 
 // finish seals the final chunk and marks the capture complete. On the batch
-// self-feed path the final chunk reaches the capturing arm only after the
-// trace is published complete, so a panic there (e.g.
-// cooperative cancellation) fails that arm alone, not the shared capture.
+// path the final chunk reaches the capturing arm only after the trace is
+// published complete, so a panic there (e.g. cooperative cancellation)
+// fails that arm alone, not the shared capture.
 func (t *Trace) finish(cr *captureRec) {
-	data := cr.w.Cut()
-	d := cr.takeDecoded()
-	t.seal(data, d)
+	d := cr.take()
+	// The last chunk is partial: copy it out of its full-size arrays.
+	d.pcs, d.taken, d.ops = slices.Clone(d.pcs), slices.Clone(d.taken), slices.Clone(d.ops)
+	t.seal(d)
 	t.mu.Lock()
-	t.counts = cr.Counts
+	t.counts = cr.counts
 	t.done = true
 	t.captureEndedLocked()
 	t.broadcastLocked()
 	t.mu.Unlock()
-	if d != nil {
+	if cr.sink != nil {
 		d.feed(cr.sink)
 	}
 }
@@ -398,7 +367,7 @@ func (t *Trace) captureEndedLocked() {
 }
 
 // failCorrupt is the reader-side counterpart of fail: a replay found a
-// chunk whose bytes no longer match their capture-time checksum (or no
+// chunk whose bytes no longer match their stored checksum (or no
 // longer decode). The trace is failed with the corruption wrapped in
 // ErrCaptureFailed, so every arm — including the finder — rebuilds its
 // recorder and recaptures via the same path that recovers a dead capturer;
@@ -419,7 +388,7 @@ func (t *Trace) failCorrupt(cause error) error {
 // quarantine records one corrupt chunk: counts it, preserves its bytes as
 // a standalone framed trace file in the engine's quarantine directory (when
 // one is configured), and logs the event. data holds the corrupt bytes as
-// read; crc is the capture-time checksum they failed.
+// read; crc is the stored checksum they failed.
 func (t *Trace) quarantine(i int, data []byte, crc uint32, cause error) {
 	e := t.e
 	e.obsChunksQuarantined.Add(1)
@@ -432,7 +401,7 @@ func (t *Trace) quarantine(i int, data []byte, crc uint32, cause error) {
 		return
 	}
 	// The evidence file is a valid version-3 trace file carrying the
-	// capture-time checksum over the corrupt bytes, so reading it back
+	// stored checksum over the corrupt bytes, so reading it back
 	// reproduces exactly the verification failure seen here.
 	body := trace.FramedFileHeader()
 	body = trace.AppendFrameHeader(body, len(data), crc)
@@ -443,43 +412,20 @@ func (t *Trace) quarantine(i int, data []byte, crc uint32, cause error) {
 	}
 }
 
-// capture runs produce once, teeing its stream into sealed chunks and —
-// when rec is non-nil — into the capturing arm's own recorder, so the
-// capturer simulates while it records. On any failure, including a panic
+// capture runs produce once, recording its stream into sealed chunks and
+// feeding it to the capturing arm's own recorder, so the capturer simulates
+// while it records. A block-consuming recorder in batch mode is fed each
+// chunk's decoded arrays as the chunk seals; any other recorder gets the
+// events through a per-event tee. On any failure, including a panic
 // unwinding through produce, the trace is failed first so no waiter hangs.
-func (t *Trace) capture(produce func(trace.Recorder) error, rec trace.Recorder) (trace.Counts, error) {
-	cr := &captureRec{t: t}
+func (t *Trace) capture(produce func(trace.Recorder) error, rec trace.Recorder) (c trace.Counts, err error) {
+	cr := newCaptureRec(t, nil)
 	var target trace.Recorder = cr
-	if rec != nil {
+	if sink, ok := rec.(trace.BlockSink); ok && t.e.batch {
+		cr.sink = sink
+	} else {
 		target = trace.Tee(cr, rec)
 	}
-	return t.runCapture(produce, cr, target)
-}
-
-// captureBatch is capture for an arm that consumes blocks: instead of a
-// per-event tee into the arm's recorder, the capture accumulates each
-// chunk's decoded form alongside its encoding and feeds it to the arm as the
-// chunk seals. The instrumented execution records through a trace.Batcher
-// into the bulk capture path, the arm runs block-wise, and the decoded
-// chunks are cached so replaying arms skip the decode too. Every batch-mode
-// capture whose recorder is a trace.BlockSink takes this path; the tee in
-// capture remains for -no-batch and for recorders that take only events.
-func (t *Trace) captureBatch(produce func(trace.Recorder) error, sink trace.BlockSink) (trace.Counts, error) {
-	cr := &captureRec{t: t, sink: sink}
-	b := trace.NewBatcher(cr, 0)
-	run := func(target trace.Recorder) error {
-		if err := produce(target); err != nil {
-			return err
-		}
-		b.Flush()
-		return nil
-	}
-	return t.runCapture(run, cr, b)
-}
-
-// runCapture drives one capture attempt through target, failing the trace
-// on any error or panic so no waiter hangs.
-func (t *Trace) runCapture(produce func(trace.Recorder) error, cr *captureRec, target trace.Recorder) (c trace.Counts, err error) {
 	t.mu.Lock()
 	t.capturing = true
 	t.mu.Unlock()
@@ -493,9 +439,9 @@ func (t *Trace) runCapture(produce func(trace.Recorder) error, cr *captureRec, t
 			return
 		}
 		t.finish(cr)
+		c = cr.counts
 	}()
-	err = produce(target)
-	return cr.Counts, err
+	return trace.Counts{}, produce(target)
 }
 
 // retain registers a replay cursor; the spill file stays alive until every
@@ -557,10 +503,10 @@ func (t *Trace) closeSpillLocked() {
 	fs.Remove(name)
 }
 
-// chunkAt returns chunk i's encoded bytes, capture-time checksum and cached
-// decoded form (nil when uncached), waiting until the capture seals it.
-// Spilled chunks are read into *buf, which is reused across calls. The
-// second-to-last result is true when the stream ended before chunk i.
+// chunkAt returns chunk i's decoded form, or else its encoded bytes and
+// their checksum, waiting until the capture seals it. Spilled chunks are
+// read into *buf, which is reused across calls. The second-to-last result
+// is true when the stream ended before chunk i.
 func (t *Trace) chunkAt(done <-chan struct{}, i int, buf *[]byte) ([]byte, uint32, *decoded, bool, error) {
 	for {
 		t.mu.Lock()
@@ -572,7 +518,7 @@ func (t *Trace) chunkAt(done <-chan struct{}, i int, buf *[]byte) ([]byte, uint3
 		if i < len(t.chunks) {
 			ck := t.chunks[i]
 			t.mu.Unlock()
-			if ck.data != nil {
+			if ck.dec != nil || ck.data != nil {
 				return ck.data, ck.crc, ck.dec, false, nil
 			}
 			if cap(*buf) < ck.size {
@@ -632,9 +578,9 @@ func (t *Trace) Replay(ctx context.Context, rec trace.Recorder) (c trace.Counts,
 			panic(r)
 		}
 	}()
-	// Feed block-capable recorders through the batch decoder: same events,
-	// same order, no per-event dispatch. The engine's batch switch is the
-	// -no-batch escape hatch back to the scalar per-event decode.
+	// Feed block-capable recorders whole blocks: same events, same order,
+	// no per-event dispatch. The engine's batch switch is the -no-batch
+	// escape hatch back to per-event delivery.
 	sink, blocks := rec.(trace.BlockSink)
 	blocks = blocks && t.e.batch
 	var bbuf trace.BlockBuf
@@ -652,45 +598,43 @@ func (t *Trace) Replay(ctx context.Context, rec trace.Recorder) (c trace.Counts,
 			// is the full one and the shared totals are its totals.
 			return t.Counts(), nil
 		}
-		if blocks && dec != nil {
-			// Decoded-cache hit: the capture already decoded this chunk,
-			// and the cache exists only for chunks that never left memory —
-			// their bytes were checksummed at capture and not re-read from
-			// disk, so there is nothing new for verification to catch.
-			dec.feed(sink)
-			t.e.obsChunksReplayed.Add(1)
-			if err := ctx.Err(); err != nil {
+		if dec != nil {
+			// A decoded chunk never left memory: there is nothing to
+			// decode and nothing for verification to catch.
+			if blocks {
+				dec.feed(sink)
+			} else {
+				dec.events(rec)
+			}
+		} else {
+			if t.e.verify {
+				if verr := trace.Verify(data, crc); verr != nil {
+					t.quarantine(i, data, crc, verr)
+					return trace.Counts{}, t.failCorrupt(verr)
+				}
+			}
+			d0 := time.Now()
+			var err error
+			if blocks {
+				err = trace.DecodeChunkBlocks(data, sink, &bbuf)
+			} else {
+				err = trace.DecodeChunk(data, rec)
+			}
+			if err != nil {
+				if errors.Is(err, trace.ErrCorrupt) {
+					// The checksum passed (or was skipped) but the records
+					// no longer parse: same corruption policy, same recovery.
+					t.quarantine(i, data, crc, err)
+					return trace.Counts{}, t.failCorrupt(err)
+				}
 				return trace.Counts{}, err
 			}
-			continue
+			t.e.obsChunkDecode.Observe(time.Since(d0))
 		}
-		if t.e.verify {
-			if verr := trace.Verify(data, crc); verr != nil {
-				t.quarantine(i, data, crc, verr)
-				return trace.Counts{}, t.failCorrupt(verr)
-			}
-		}
-		decode := func(data []byte) error {
-			if blocks {
-				return trace.DecodeChunkBlocks(data, sink, &bbuf)
-			}
-			return trace.DecodeChunk(data, rec)
-		}
-		d0 := time.Now()
-		if err := decode(data); err != nil {
-			if errors.Is(err, trace.ErrCorrupt) {
-				// The checksum passed (or was skipped) but the records no
-				// longer parse: same corruption policy, same recovery.
-				t.quarantine(i, data, crc, err)
-				return trace.Counts{}, t.failCorrupt(err)
-			}
-			return trace.Counts{}, err
-		}
-		t.e.obsChunkDecode.Observe(time.Since(d0))
 		t.e.obsChunksReplayed.Add(1)
-		// Chunks are a few tens of thousands of events, the same order as
-		// the simulator's own cancellation cadence — checking here keeps a
-		// recorder without its own context responsive to the caller's.
+		// A chunk holds at most chunkEvents branches, the simulator's own
+		// cancellation cadence — checking here keeps a recorder without its
+		// own context responsive to the caller's.
 		if err := ctx.Err(); err != nil {
 			return trace.Counts{}, err
 		}
@@ -699,9 +643,10 @@ func (t *Trace) Replay(ctx context.Context, rec trace.Recorder) (c trace.Counts,
 
 // WriteTo exports the captured stream as a version-3 (checksummed framed
 // chunk) trace file readable by trace.NewReader, waiting for the capture to
-// finish if it is still running. Chunks are verified before export when the
-// engine verifies, so a corrupt spill surfaces here as an error, never as a
-// silently poisoned file. It implements io.WriterTo.
+// finish if it is still running. Decoded chunks are encoded and checksummed
+// here; encoded ones are verified before export when the engine verifies,
+// so a corrupt spill surfaces here as an error, never as a silently
+// poisoned file. It implements io.WriterTo.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	t.retain()
 	defer t.release()
@@ -712,15 +657,19 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 	var buf, hdr []byte
+	var cw trace.ChunkWriter
 	for i := 0; ; i++ {
-		data, crc, _, ended, err := t.chunkAt(nil, i, &buf)
+		data, crc, dec, ended, err := t.chunkAt(nil, i, &buf)
 		if err != nil {
 			return n, err
 		}
 		if ended {
 			return n, nil
 		}
-		if t.e.verify {
+		if dec != nil {
+			data = dec.encode(&cw)
+			crc = trace.Checksum(data)
+		} else if t.e.verify {
 			if verr := trace.Verify(data, crc); verr != nil {
 				return n, verr
 			}

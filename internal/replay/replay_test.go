@@ -266,8 +266,51 @@ func TestSpillToDisk(t *testing.T) {
 	}
 }
 
-// TestWriteTo proves a captured trace exports as a version-2 trace file
-// that trace.NewReader replays identically — with and without spilling.
+// TestTeeCaptureSpills bounds a capture that feeds an event-only recorder
+// through the per-event tee, as bptrace record does: under a memory budget
+// smaller than the decoded stream, chunks past it are encoded and spilled,
+// memory stays within the budget, and the capturing arm, a replaying arm
+// and an export all see the whole stream.
+func TestTeeCaptureSpills(t *testing.T) {
+	dir := t.TempDir()
+	const budget = 1 << 20
+	e := replay.New(2, budget, dir)
+	defer e.Close()
+	want := streamBuffer()
+	for _, label := range []string{"capturing arm", "replaying arm"} {
+		var got trace.Buffer
+		if _, err := e.Run(context.Background(), "k", streamProduce(nil), func() (trace.Recorder, error) {
+			got = trace.Buffer{}
+			return &got, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sameStream(t, label, &got, want)
+	}
+	if n := e.MemBytes(); n == 0 || n > budget {
+		t.Errorf("%d bytes held in memory, want some and at most %d", n, budget)
+	}
+	if fi, err := os.Stat(findSpillFile(t, dir)); err != nil || fi.Size() == 0 {
+		t.Errorf("spill file: %v, want chunks spilled", err)
+	}
+	tr, _ := e.Trace("k")
+	var file bytes.Buffer
+	if _, err := tr.WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.NewReader(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got trace.Buffer
+	if _, err := r.Replay(&got); err != nil {
+		t.Fatal(err)
+	}
+	sameStream(t, "exported file", &got, want)
+}
+
+// TestWriteTo proves a captured trace exports as a version-3 (BTRC3) trace
+// file that trace.NewReader replays identically — with and without spilling.
 func TestWriteTo(t *testing.T) {
 	for _, budget := range []int64{0, 1} {
 		name := "in-memory"

@@ -308,7 +308,7 @@ func (r *Runner) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
 
 // RunBlockSummed implements trace.SummedBlockSink: RunBlock for feeders that
 // already hold the block's straight-line instruction total (the engine's
-// decoded-block cache computes it once at capture), sparing the per-block
+// decoded chunks carry it, summed at capture), sparing the per-block
 // summing pass.
 func (r *Runner) RunBlockSummed(pcs []uint64, taken []bool, ops []uint64, opsSum uint64) {
 	if len(pcs) == 0 {

@@ -25,7 +25,7 @@ type BlockSink interface {
 
 // SummedBlockSink is an optional BlockSink extension for feeders that
 // already know a block's total straight-line instruction count — the
-// replay engine's decoded-block cache computes it once at capture time.
+// replay engine's decoded chunks carry it, summed at capture time.
 // RunBlockSummed is RunBlock with opsSum = sum(ops); implementations may
 // trust it and skip their own pass over the ops array.
 type SummedBlockSink interface {
@@ -41,13 +41,13 @@ const DefaultBlockEvents = 4096
 // Batcher adapts a BlockSink to the Recorder interface: it buffers the
 // per-event stream into parallel block arrays and hands the sink whole
 // blocks, so an instrumented workload can feed a block-wise consumer — a
-// sim.Runner with a devirtualized kernel, the replay engine's capture —
-// without two interface dispatches per branch. The delivered stream is
-// exactly the recorded one: straight-line runs coalesce onto the branch
-// that follows them (as the Recorder contract permits), and a trailing run
-// is delivered by Flush as a bare Ops call, mirroring DecodeChunkBlocks.
-// The block arrays are reused across flushes, so the sink must not retain
-// them — the standard BlockSink contract.
+// sim.Runner with a devirtualized kernel — without two interface
+// dispatches per branch. The delivered stream is exactly the recorded one:
+// straight-line runs coalesce onto the branch that follows them (as the
+// Recorder contract permits), and a trailing run is delivered by Flush as
+// a bare Ops call, mirroring DecodeChunkBlocks. The block arrays are
+// reused across flushes, so the sink must not retain them — the standard
+// BlockSink contract.
 type Batcher struct {
 	sink    BlockSink
 	pcs     []uint64
