@@ -89,6 +89,12 @@ type Harness struct {
 	profiles flight[*profile.DB]
 	hints    flight[*core.HintDB]
 	runs     flight[sim.Metrics]
+	// The stream passes behind profiles and runs, memoized apart from them:
+	// a pass run on another arm's behalf is journaled, checkpointed and
+	// counted only when an arm asks for its own key. They do not retry;
+	// the arm above them does.
+	biasPasses flight[*profile.DB] // bias profile per (workload, input)
+	basePasses flight[*baseline]   // per (workload, input, canonical spec)
 
 	profilesComputed atomic.Uint64
 	runsComputed     atomic.Uint64
@@ -131,25 +137,31 @@ func (h *Harness) newPredictor(spec string) (predictor.Predictor, error) {
 	return predictor.New(spec)
 }
 
-// feed drives one freshly built recorder with the branch stream of prog on
-// input — through the replay engine's shared capture when one is attached,
-// by direct execution otherwise. newRec must build the arm's recorder from
-// scratch on every call (the engine re-invokes it when a shared capture
-// fails mid-stream and the partial feed must be discarded); feed leaves the
-// recorder of the final, successful attempt for the caller to read. The
-// returned phase says how the stream was fed — direct execution
-// (PhaseSimulate), shared capture (PhaseCapture) or replay of one
-// (PhaseReplay) — for the arm's span. span is the arm's lifecycle span:
-// when it traces, a capturing arm is noted in the cross-link registry under
-// the capture key, and a replaying arm links the capturer's span — the
-// shared work stays attributable from every consumer's trace.
-func (h *Harness) feed(ctx context.Context, span *obs.Span, prog workload.Program, input string, newRec func() (trace.Recorder, error)) (obs.Phase, error) {
+// feed drives one freshly built recorder with the branch stream of workload
+// wl on input — through the replay engine's shared capture when one is
+// attached, by direct execution otherwise. newRec must build the arm's
+// recorder from scratch on every call (the engine re-invokes it when a
+// shared capture fails mid-stream and the partial feed must be discarded);
+// feed leaves the recorder of the final, successful attempt for the caller
+// to read. span is the arm's lifecycle span: feed records on it how long
+// the stream took and how it was fed — direct execution (PhaseSimulate),
+// shared capture (PhaseCapture) or replay of one (PhaseReplay). When it
+// traces, a capturing arm is noted in the cross-link registry under the
+// capture key, and a replaying arm links the capturer's span — the shared
+// work stays attributable from every consumer's trace.
+func (h *Harness) feed(ctx context.Context, span *obs.Span, wl, input string, newRec func() (trace.Recorder, error)) error {
+	prog, err := h.lookup(wl)
+	if err != nil {
+		return err
+	}
+	phase := obs.PhaseSimulate
+	defer func(t0 time.Time) { span.AddPhase(phase, time.Since(t0)) }(time.Now())
 	if h.Replay == nil {
 		rec, err := newRec()
 		if err != nil {
-			return obs.PhaseSimulate, err
+			return err
 		}
-		return obs.PhaseSimulate, workload.RunProgram(ctx, prog, input, rec)
+		return workload.RunProgram(ctx, prog, input, rec)
 	}
 	capKey := "cap|" + replay.Key(prog.Name(), input)
 	produce := func(r trace.Recorder) error {
@@ -162,12 +174,14 @@ func (h *Harness) feed(ctx context.Context, span *obs.Span, prog workload.Progra
 	}
 	_, src, err := h.Replay.RunSourced(ctx, replay.Key(prog.Name(), input), produce, newRec)
 	if src == replay.SourceCapture {
-		return obs.PhaseCapture, err
+		phase = obs.PhaseCapture
+		return err
 	}
+	phase = obs.PhaseReplay
 	if sc, ok := h.obs.SpanForKey(capKey); ok {
 		span.Trace().Link(sc, "capture")
 	}
-	return obs.PhaseReplay, err
+	return err
 }
 
 // linkFollower publishes a follower span for a singleflight-coalesced call:
@@ -248,9 +262,12 @@ func (h *Harness) logf(format string, args ...any) {
 }
 
 // Profile returns the memoized phase-1 profile of predSpec over wl/input.
-// An empty predSpec collects a bias-only profile. The simulation runs under
-// ctx (plus the per-arm deadline, if configured); failures are reported as
-// *ArmError and are not memoized, so a later call retries.
+// An empty predSpec collects a bias-only profile. A predictor's profile is
+// the bias profile annotated from the predictor's baseline pass (the "none"
+// arm's simulation, shared with Run), so no pass of its own simulates the
+// predictor. The passes run under ctx (plus the per-arm deadline, if
+// configured); failures are reported as *ArmError and are not memoized, so
+// a later call retries.
 func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*profile.DB, error) {
 	spec := predictor.Canonical(predSpec)
 	key := "p|" + wl + "|" + input + "|" + spec
@@ -284,52 +301,14 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 		}
 		armCtx, cancel := h.armCtx(ctx)
 		defer cancel()
-		db, err := guard(func() (*profile.DB, error) {
-			h.logf("profile %-8s %-5s %s", wl, input, spec)
-			prog, err := h.lookup(wl)
-			if err != nil {
-				return nil, err
+		h.logf("profile %-8s %-5s %s", wl, input, spec)
+		db, err := h.biasPass(armCtx, span, wl, input)
+		if err == nil && predSpec != "" {
+			var b *baseline
+			if b, err = h.baselinePass(armCtx, span, Arm{Workload: wl, Input: input, Pred: predSpec}); err == nil {
+				db = db.Annotate(b.misses, b.dyn)
 			}
-			// The recorder (and the profile DB it fills) is rebuilt inside
-			// the factory: a replay retry must not accumulate into a DB
-			// that already saw a partial stream.
-			var db *profile.DB
-			t0 := time.Now()
-			var phase obs.Phase
-			if predSpec == "" {
-				var rec *biasOnly
-				phase, err = h.feed(armCtx, span, prog, input, func() (trace.Recorder, error) {
-					db = profile.NewDB(wl, input)
-					rec = &biasOnly{db: db}
-					return rec, nil
-				})
-				span.AddPhase(phase, time.Since(t0))
-				if err != nil {
-					return nil, err
-				}
-				db.Instructions = rec.instr
-			} else {
-				var r *sim.Runner
-				phase, err = h.feed(armCtx, span, prog, input, func() (trace.Recorder, error) {
-					p, err := h.newPredictor(predSpec)
-					if err != nil {
-						return nil, err
-					}
-					db = profile.NewDB(wl, input)
-					r = sim.NewRunner(p, sim.WithLabels(wl, input), sim.WithCollisions(), sim.WithProfile(db), sim.WithObserver(h.obs),
-						sim.WithTelemetry(telemetry.New(h.telemetry, h.obs)))
-					return r, nil
-				})
-				span.AddPhase(phase, time.Since(t0))
-				if err != nil {
-					return nil, err
-				}
-				endSeal := span.Phase(obs.PhaseSeal)
-				r.Metrics() // stamps db.Instructions
-				endSeal()
-			}
-			return db, nil
-		})
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -376,6 +355,92 @@ func (b *biasOnly) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
 		b.instr += n + 1
 	}
 	b.db.RecordBlock(pcs, taken, nil, nil)
+}
+
+// baseline is one pass of a dynamic predictor with no hints over one
+// stream: the "none" arm's metrics, and the misses that annotate the
+// stream's bias profile into the predictor's phase-1 profile.
+type baseline struct {
+	m      sim.Metrics
+	misses *profile.Misses
+	dyn    string // the bare predictor's name, the profile's Predictor
+}
+
+// pass runs (or recalls) one memoized stream pass on f under key. The
+// caller that computes it records the stream phases on its span. A waiter
+// whose own context is live retries a pass that failed because the
+// computing caller's context ended: that failure was not the waiter's.
+func pass[T any](f *flight[T], ctx context.Context, key string, run func() (T, error)) (T, error) {
+	for {
+		v, shared, err := f.doShared(ctx, key, func() (T, error) { return guard(run) })
+		if shared && ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			continue
+		}
+		return v, err
+	}
+}
+
+// biasPass returns the bias-only profile of wl on input.
+func (h *Harness) biasPass(ctx context.Context, span *obs.Span, wl, input string) (*profile.DB, error) {
+	return pass(&h.biasPasses, ctx, wl+"|"+input, func() (*profile.DB, error) {
+		// The recorder (and the profile DB it fills) is rebuilt inside the
+		// factory: a replay retry must not accumulate into a DB that
+		// already saw a partial stream.
+		var rec *biasOnly
+		err := h.feed(ctx, span, wl, input, func() (trace.Recorder, error) {
+			rec = &biasOnly{db: profile.NewDB(wl, input)}
+			return rec, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		rec.db.Instructions = rec.instr
+		return rec.db, nil
+	})
+}
+
+// baselinePass returns the baseline pass of a's predictor over its
+// workload and input: the "none" arm's simulation, which also records the
+// predictor's misses for its phase-1 profile.
+func (h *Harness) baselinePass(ctx context.Context, span *obs.Span, a Arm) (*baseline, error) {
+	key := a.Workload + "|" + a.input(h) + "|" + predictor.Canonical(a.Pred)
+	return pass(&h.basePasses, ctx, key, func() (*baseline, error) {
+		b := &baseline{misses: new(profile.Misses)}
+		var err error
+		b.m, b.dyn, err = h.simulate(ctx, span, a, nil, b.misses)
+		return b, err
+	})
+}
+
+// simulate runs a's predictor behind hints under a's shift policy over its
+// workload and input, with collisions, observer and telemetry, and returns
+// the metrics and the bare predictor's name. A non-nil misses also records
+// the predictor's misses.
+func (h *Harness) simulate(ctx context.Context, span *obs.Span, a Arm, hints *core.HintDB, misses *profile.Misses) (sim.Metrics, string, error) {
+	var (
+		r   *sim.Runner
+		dyn predictor.Predictor
+	)
+	input := a.input(h)
+	// The predictor stack is rebuilt inside the factory so a replay retry
+	// starts from pristine tables.
+	err := h.feed(ctx, span, a.Workload, input, func() (trace.Recorder, error) {
+		var err error
+		if dyn, err = h.newPredictor(a.Pred); err != nil {
+			return nil, err
+		}
+		if misses != nil {
+			*misses = profile.Misses{}
+		}
+		r = sim.NewRunner(core.NewCombined(dyn, hints, a.Shift), sim.WithLabels(a.Workload, input), sim.WithCollisions(),
+			sim.WithMisses(misses), sim.WithObserver(h.obs), sim.WithTelemetry(telemetry.New(h.telemetry, h.obs)))
+		return r, nil
+	})
+	if err != nil {
+		return sim.Metrics{}, "", err
+	}
+	defer span.Phase(obs.PhaseSeal)()
+	return r.Metrics(), dyn.Name(), nil
 }
 
 // Arm describes one measured configuration.
@@ -501,42 +566,28 @@ func (h *Harness) RunAttributed(ctx context.Context, a Arm) (sim.Metrics, string
 		defer cancel()
 		m, err := guard(func() (sim.Metrics, error) {
 			// Hints are memoized and effectively read-only, so they are
-			// resolved once; the predictor stack is rebuilt inside the
-			// factory so a replay retry starts from pristine tables. The
-			// select phase covers hint resolution, including any nested
-			// profile arms it triggers (those get their own spans too).
+			// resolved once. The select phase covers hint resolution,
+			// including any nested profile arms it triggers (those get
+			// their own spans too).
 			endSel := span.Phase(obs.PhaseSelect)
 			hints, err := h.Hints(armCtx, a)
 			endSel()
 			if err != nil {
 				return sim.Metrics{}, err
 			}
-			prog, err := h.lookup(a.Workload)
-			if err != nil {
-				return sim.Metrics{}, err
-			}
 			input := a.input(h)
 			h.logf("run     %-8s %-5s %-14s %-10s shift=%v prof=%s", a.Workload, input, spec, a.schemeLabel(), a.Shift, a.ProfileInput)
-			var r *sim.Runner
-			t0 := time.Now()
-			phase, err := h.feed(armCtx, span, prog, input, func() (trace.Recorder, error) {
-				dyn, err := h.newPredictor(a.Pred)
+			if hints == nil && a.Shift == core.NoShift {
+				// No hints, history untouched: the predictor's baseline
+				// pass, which its phase-1 profile shares.
+				b, err := h.baselinePass(armCtx, span, a)
 				if err != nil {
-					return nil, err
+					return sim.Metrics{}, err
 				}
-				p := core.NewCombined(dyn, hints, a.Shift)
-				r = sim.NewRunner(p, sim.WithLabels(a.Workload, input), sim.WithCollisions(), sim.WithObserver(h.obs),
-					sim.WithTelemetry(telemetry.New(h.telemetry, h.obs)))
-				return r, nil
-			})
-			span.AddPhase(phase, time.Since(t0))
-			if err != nil {
-				return sim.Metrics{}, err
+				return b.m, nil
 			}
-			endSeal := span.Phase(obs.PhaseSeal)
-			m := r.Metrics()
-			endSeal()
-			return m, nil
+			m, _, err := h.simulate(armCtx, span, a, hints, nil)
+			return m, err
 		})
 		if err != nil {
 			return sim.Metrics{}, err

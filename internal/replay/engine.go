@@ -35,7 +35,6 @@ type Engine struct {
 
 	sem     chan struct{}
 	mem     atomic.Int64  // in-memory chunk bytes, decoded and encoded
-	decMem  atomic.Int64  // decoded chunk bytes (see decodedCacheBudget)
 	quarSeq atomic.Uint64 // names quarantined chunk files uniquely
 
 	// Observability handles (nil when unobserved; all are nil-safe no-ops

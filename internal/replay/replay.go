@@ -13,13 +13,12 @@
 // Memory is bounded: the engine's budget counts every in-memory chunk byte.
 // A chunk is encoded into compact, self-contained records (delta-encoded
 // PCs plus outcome bits, see trace/chunk.go) and checksummed only when it
-// leaves decoded form: when the decoded arrays would overrun the budget or
-// the engine's decoded cap, and on export. Once the budget is exhausted,
-// encoded chunks spill to a temp file in internal/trace's version-3
-// (checksummed framed-chunk) file format, and replay cursors read them back
-// with ReadAt. Because every chunk is self-contained, a spill file (or a
-// full export via Trace.WriteTo) is itself a valid trace file for
-// trace.NewReader.
+// leaves decoded form: when the decoded arrays would overrun the budget, and
+// on export. Once the budget is exhausted, encoded chunks spill to a temp
+// file in internal/trace's version-3 (checksummed framed-chunk) file format,
+// and replay cursors read them back with ReadAt. Because every chunk is
+// self-contained, a spill file (or a full export via Trace.WriteTo) is
+// itself a valid trace file for trace.NewReader.
 //
 // Durability is policy, not best-effort: every encoded chunk carries the
 // CRC32C taken when it was encoded, verified (by default) on every replay.
@@ -75,10 +74,10 @@ type chunk struct {
 
 // decoded is one chunk's event stream as parallel arrays, filled by the
 // capture as events arrive. It is the in-memory form of every chunk that
-// fits the engine's budgets: replay cursors feed it to block sinks whole and
-// to event-only recorders per event. A chunk that does not fit is encoded
-// as it seals (seal), and an exported one as it is written (WriteTo). Once
-// sealed, the arrays are shared and read-only.
+// fits the engine's memory budget: replay cursors feed it to block sinks
+// whole and to event-only recorders per event. A chunk that does not fit is
+// encoded as it seals (seal), and an exported one as it is written
+// (WriteTo). Once sealed, the arrays are shared and read-only.
 type decoded struct {
 	pcs    []uint64
 	taken  []bool
@@ -129,12 +128,6 @@ func (d *decoded) encode(w *trace.ChunkWriter) []byte {
 	return w.Cut()
 }
 
-// decodedCacheBudget bounds the decoded bytes held per engine. Decoded form
-// costs 17 bytes per branch against about 3.8 encoded (~4.4x), so past this
-// budget chunks are encoded as they seal and replay through the chunk
-// decoder, from memory or from the spill file.
-const decodedCacheBudget = 256 << 20
-
 // Trace is one captured branch stream: a sequence of self-contained chunks
 // plus the stream totals. Chunks appear while the capture is still running,
 // so replays overlap it.
@@ -155,7 +148,6 @@ type Trace struct {
 	err         error        // capture failure, wrapped in ErrCaptureFailed
 	counts      trace.Counts // stream totals, valid once done with nil err
 	memBytes    int64        // in-memory chunk bytes, counted against e.mem
-	decBytes    int64        // decoded chunk bytes, counted against e.decMem
 	readers     int
 	dropped     bool
 	capturing   bool // the capture goroutine may still write the spill file
@@ -244,9 +236,9 @@ func (c *captureRec) take() *decoded {
 	return &d
 }
 
-// seal publishes one finished chunk in the form the engine's budgets allow.
-// It stays decoded while both the memory budget and decodedCacheBudget have
-// room for its arrays. Otherwise it is encoded and checksummed, then kept in
+// seal publishes one finished chunk in the form the engine's memory budget
+// allows. It stays decoded while the budget has room for its arrays (always,
+// with no budget). Otherwise it is encoded and checksummed, then kept in
 // memory if the memory budget has room for the records, or else spilled to
 // disk. A failed spill write degrades to keeping the records in memory —
 // correctness over the budget — and is counted and logged once per capture.
@@ -256,7 +248,7 @@ func (t *Trace) seal(d *decoded) {
 	}
 	e := t.e
 	ck, n := chunk{dec: d}, d.bytes()
-	if e.wantSpill(n) || e.decMem.Load()+n > decodedCacheBudget {
+	if e.wantSpill(n) {
 		data := d.encode(&t.enc)
 		ck = chunk{data: data, size: len(data), crc: trace.Checksum(data)}
 		n = int64(len(data))
@@ -277,10 +269,6 @@ func (t *Trace) seal(d *decoded) {
 		t.memBytes += n
 		e.mem.Add(n)
 		e.obsMem.Set(e.mem.Load())
-		if ck.dec != nil {
-			t.decBytes += n
-			e.decMem.Add(n)
-		}
 	}
 	t.chunks = append(t.chunks, ck)
 	t.broadcastLocked()
@@ -470,8 +458,6 @@ func (t *Trace) markDropped() {
 		t.e.mem.Add(-t.memBytes)
 		t.e.obsMem.Set(t.e.mem.Load())
 		t.memBytes = 0
-		t.e.decMem.Add(-t.decBytes)
-		t.decBytes = 0
 	}
 	if t.readers == 0 {
 		t.closeSpillLocked()

@@ -105,6 +105,7 @@ type Runner struct {
 	p       predictor.Predictor
 	col     predictor.Collider
 	prof    *profile.DB
+	miss    *profile.Misses
 	ctx     context.Context
 	events  uint64
 	metrics Metrics
@@ -124,9 +125,11 @@ type Runner struct {
 	// the first Metrics call.
 	tel *telemetry.Collector
 
-	// ce grades predictions for the profile database (nil unless profiling
-	// a predictor that implements ConfidenceEstimator): low-confidence
-	// executions per branch feed the confidence-based static filter.
+	// ce grades predictions (nil unless the predictor implements
+	// ConfidenceEstimator and a profile, a miss record or confidence
+	// telemetry wants the grades). It is read once per event and the grade
+	// handed to each: low-confidence executions per branch feed the
+	// confidence-based static filter.
 	ce predictor.ConfidenceEstimator
 
 	// kern is the predictor's native batch kernel (nil when it has none);
@@ -166,6 +169,14 @@ func WithProfile(db *profile.DB) Option {
 		r.prof = db
 		db.Predictor = r.p.Name()
 	}
+}
+
+// WithMisses records into m the run's mispredicted, destructively colliding
+// and low-confidence executions per branch: with a bias profile of the same
+// stream, what WithProfile would collect (profile.DB.Annotate joins them).
+// Its cost grows with the mispredictions, not with the branches.
+func WithMisses(m *profile.Misses) Option {
+	return func(r *Runner) { r.miss = m }
 }
 
 // WithContext arms cooperative cancellation inside the Runner's event loop:
@@ -225,7 +236,7 @@ func NewRunner(p predictor.Predictor, opts ...Option) *Runner {
 	// Bind after the option loop so the collector sees the final labels and
 	// the collision-tracking decision, whatever order the options came in.
 	r.tel.Bind(p, r.metrics.Workload, r.metrics.Input, r.metrics.Predictor, r.metrics.CollisionsTracked)
-	if r.prof != nil {
+	if r.prof != nil || r.miss != nil || r.tel.ConfidenceSampling() {
 		if ce, ok := predictor.ConfidenceEstimatorOf(p); ok {
 			r.ce = ce
 		}
@@ -259,21 +270,28 @@ func (r *Runner) Branch(pc uint64, taken bool) {
 			destructive = true
 		}
 	}
+	var conf predictor.Confidence
+	if r.ce != nil {
+		conf = r.ce.LastConfidence()
+	}
 	if r.prof != nil {
 		r.prof.RecordPredicted(pc, taken, correct)
 		if destructive {
 			r.prof.RecordDestructiveCollision(pc)
 		}
-		if r.ce != nil && r.ce.LastConfidence().Low {
+		if conf.Low {
 			r.prof.RecordLowConfidence(pc)
 		}
+	}
+	if r.miss != nil && (!correct || conf.Low) {
+		r.miss.Record(pc, correct, destructive, conf.Low)
 	}
 	r.p.Update(pc, taken)
 	r.metrics.Counts.Branch(pc, taken)
 	if r.tel != nil {
 		// After Update, so an interval boundary here introspects tables that
 		// already absorbed this branch's training.
-		r.tel.Branch(pc, taken, correct, collided)
+		r.tel.Branch(pc, taken, correct, collided, conf)
 	}
 	if r.events++; r.events%cancelEvery == 0 {
 		if r.obsEvents != nil {
@@ -295,9 +313,9 @@ func (r *Runner) Branch(pc uint64, taken bool) {
 // back to the per-event loop, which is bit-identical by construction: a
 // predictor without a kernel; telemetry that samples predictor tables at
 // interval boundaries (the snapshot must observe exactly the events sealed
-// so far, so the predictor may not run ahead of the collector); and any
-// consumer of per-prediction confidence (LastConfidence reports only the
-// most recent Predict, so the kernel may not run ahead of the grader).
+// so far, so the predictor may not run ahead of the collector); and a
+// predictor graded per prediction (LastConfidence reports only the most
+// recent Predict, so the kernel may not run ahead of the grader).
 func (r *Runner) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
 	var opsSum uint64
 	for _, o := range ops[:len(pcs)] {
@@ -314,7 +332,7 @@ func (r *Runner) RunBlockSummed(pcs []uint64, taken []bool, ops []uint64, opsSum
 	if len(pcs) == 0 {
 		return
 	}
-	if r.kern == nil || r.tel.TableSampling() || r.tel.ConfidenceSampling() || r.ce != nil {
+	if r.kern == nil || r.tel.TableSampling() || r.ce != nil {
 		for i, pc := range pcs {
 			if ops[i] != 0 {
 				r.Ops(ops[i])
@@ -325,7 +343,7 @@ func (r *Runner) RunBlockSummed(pcs []uint64, taken []bool, ops []uint64, opsSum
 	}
 	n := len(pcs)
 	var bm predictor.BlockMetrics
-	if r.tel != nil || r.prof != nil {
+	if r.tel != nil || r.prof != nil || r.miss != nil {
 		if cap(r.scratchCorrect) < n {
 			r.scratchCorrect = make([]bool, n)
 			r.scratchCollided = make([]bool, n)
@@ -348,19 +366,24 @@ func (r *Runner) RunBlockSummed(pcs []uint64, taken []bool, ops []uint64, opsSum
 	r.metrics.Branches += uint64(n)
 	r.metrics.TakenCount += bm.TakenCount
 
+	var collided []bool // collisions count only when tracked
+	if tracked {
+		collided = bm.Collided
+	}
 	if r.prof != nil {
-		var collided []bool // destructive collisions count only when tracked
-		if tracked {
-			collided = bm.Collided
-		}
 		r.prof.RecordBlock(pcs, taken, bm.Correct, collided)
 	}
+	if r.miss != nil {
+		r.miss.RecordBlock(pcs, bm.Correct, collided)
+	}
 	if r.tel != nil {
+		// The collector grades nothing here: a graded predictor runs per
+		// event.
 		for i, pc := range pcs {
 			if ops[i] != 0 {
 				r.tel.Ops(ops[i])
 			}
-			r.tel.Branch(pc, taken[i], bm.Correct[i], tracked && bm.Collided[i])
+			r.tel.Branch(pc, taken[i], bm.Correct[i], tracked && bm.Collided[i], predictor.Confidence{})
 		}
 	}
 

@@ -101,7 +101,7 @@ type Collector struct {
 	tracked               bool // collision tracking on
 	in                    predictor.Introspector
 	tin                   predictor.TaggedIntrospector
-	ce                    predictor.ConfidenceEstimator
+	grades                bool // Confidence configured and the predictor grades itself
 
 	// Cumulative stream counters (instructions includes branches).
 	instr, branches, taken uint64
@@ -109,7 +109,7 @@ type Collector struct {
 	next                   uint64 // next interval boundary
 	seq                    int
 
-	// Cumulative confidence counters (ce bound): low-confidence predictions
+	// Cumulative confidence counters (grades set): low-confidence predictions
 	// and the low/high split of mispredictions, plus the score histogram
 	// (eight equal-width buckets over [0,1]).
 	confLow, confLowMisp, confHighMisp uint64
@@ -191,8 +191,8 @@ func (c *Collector) Bind(p predictor.Predictor, workload, input, pred string, tr
 		}
 	}
 	if c.cfg.Confidence {
-		if ce, ok := predictor.ConfidenceEstimatorOf(p); ok {
-			c.ce = ce
+		if _, ok := predictor.ConfidenceEstimatorOf(p); ok {
+			c.grades = true
 			if c.sites != nil {
 				c.topLow = newSpaceSaving(c.cfg.TopK)
 			}
@@ -208,16 +208,17 @@ func (c *Collector) Bind(p predictor.Predictor, workload, input, pred string, tr
 func (c *Collector) TableSampling() bool { return c != nil && (c.in != nil || c.tin != nil) }
 
 // ConfidenceSampling reports whether the collector grades every prediction
-// (Confidence configured and the bound predictor estimates it). Callers
-// batching the event stream must fall back to per-event feeding when this is
-// true: Branch queries the predictor's last-prediction state, so the
-// predictor may not run ahead of the collector. Safe on nil.
-func (c *Collector) ConfidenceSampling() bool { return c != nil && c.ce != nil }
+// (Confidence configured and the bound predictor estimates it). The caller
+// then reads the predictor's LastConfidence after each Predict and hands it
+// to Branch, so it must feed events one at a time: the predictor may not
+// run ahead of its grade. Safe on nil.
+func (c *Collector) ConfidenceSampling() bool { return c != nil && c.grades }
 
 // Branch feeds one dynamic branch: its resolved direction, whether the
-// prediction was correct, and whether the lookup collided (false when the
-// arm does not track collisions). Safe on nil.
-func (c *Collector) Branch(pc uint64, taken, correct, collided bool) {
+// prediction was correct, whether the lookup collided (false when the arm
+// does not track collisions) and, when ConfidenceSampling, the predictor's
+// grade of the prediction (ignored otherwise). Safe on nil.
+func (c *Collector) Branch(pc uint64, taken, correct, collided bool, conf predictor.Confidence) {
 	if c == nil {
 		return
 	}
@@ -240,8 +241,7 @@ func (c *Collector) Branch(pc uint64, taken, correct, collided bool) {
 		}
 	}
 	low := false
-	if c.ce != nil {
-		conf := c.ce.LastConfidence()
+	if c.grades {
 		low = conf.Low
 		if low {
 			c.confLow++
@@ -396,7 +396,7 @@ func (c *Collector) seal() {
 		c.o.Publish(&liveTS)
 	}
 
-	if c.ce != nil {
+	if c.grades {
 		cr := obs.ConfidenceRecord{
 			Workload: c.workload, Input: c.input, Predictor: c.pred,
 			Seq: c.seq, Instructions: c.instr,

@@ -28,7 +28,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestNilCollectorNoops(t *testing.T) {
 	var c *Collector
 	c.Bind(nil, "w", "i", "p", false)
-	c.Branch(0x40, true, true, false)
+	c.Branch(0x40, true, true, false, predictor.Confidence{})
 	c.Ops(10)
 	if r := c.Finish(); r.Intervals != nil || r.TopK != nil {
 		t.Fatalf("nil collector returned records: %+v", r)
@@ -48,7 +48,7 @@ func feed(c *Collector, events, nSites int, opsPer uint64) (branches, misp uint6
 		taken := site%3 != 0
 		correct := i%7 != 0 // synthetic misprediction pattern
 		collided := i%5 == 0
-		c.Branch(pc, taken, correct, collided)
+		c.Branch(pc, taken, correct, collided, predictor.Confidence{})
 		branches++
 		if !correct {
 			misp++
@@ -146,7 +146,7 @@ func TestTableStatsSampledAtBoundaries(t *testing.T) {
 		taken := i%3 != 0
 		pred := p.Predict(pc)
 		p.Update(pc, taken)
-		c.Branch(pc, taken, pred == taken, false)
+		c.Branch(pc, taken, pred == taken, false, predictor.Confidence{})
 	}
 	recs := c.Finish()
 	if len(recs.TableStats) != len(recs.Intervals) {
@@ -175,7 +175,7 @@ func TestTopKAndHistograms(t *testing.T) {
 		// site 0 mispredicts always and collides destructively: the clear
 		// worst offender.
 		correct := site != 0
-		c.Branch(pc, true, correct, site == 0)
+		c.Branch(pc, true, correct, site == 0, predictor.Confidence{})
 	}
 	rec := c.Finish().TopK
 	if rec == nil {
@@ -241,9 +241,9 @@ func TestBulkOpsSealsPerBoundary(t *testing.T) {
 	run := func(charge func(c *Collector)) Records {
 		c := New(Config{Interval: 100}, nil)
 		c.Bind(predictor.NewBimodal(64), "w", "i", "p", false)
-		c.Branch(0x40, true, true, false)
+		c.Branch(0x40, true, true, false, predictor.Confidence{})
 		charge(c)
-		c.Branch(0x44, true, true, false)
+		c.Branch(0x44, true, true, false, predictor.Confidence{})
 		return c.Finish()
 	}
 
