@@ -51,32 +51,70 @@ type Introspector interface {
 	Introspect() []TableStats
 }
 
-// stats snapshots one table.
+// stats snapshots one table. Every interval seal walks every table, so the
+// walk is the telemetry's largest fixed cost. Incrementing one histogram
+// entry per table entry serializes the loop on the histogram's memory (two
+// neighbours in the same state bump the same cell back to back), so each
+// histogram is counted in statLanes independent copies, entry i in lane
+// i%statLanes, and the lanes are summed at the end. Occupancy adds
+// branch-free: whether a tag is set follows the table's contents, which the
+// host cannot predict.
 func (t *table) stats(name string) TableStats {
 	s := TableStats{Name: name, Entries: len(t.ctr)}
-	for _, c := range t.ctr {
-		s.Counters[c&ctrMax]++
+	var ctr [statLanes][ctrMax + 1]uint64
+	c := t.ctr
+	i := 0
+	for ; i+statLanes <= len(c); i += statLanes {
+		ctr[0][c[i]&ctrMax]++
+		ctr[1][c[i+1]&ctrMax]++
+		ctr[2][c[i+2]&ctrMax]++
+		ctr[3][c[i+3]&ctrMax]++
 	}
-	for _, tag := range t.tags {
-		if tag != 0 {
-			s.Occupied++
+	for ; i < len(c); i++ {
+		ctr[0][c[i]&ctrMax]++
+	}
+	for l := range ctr {
+		for k, n := range ctr[l] {
+			s.Counters[k] += n
 		}
 	}
+	var occ uint64
+	for _, tag := range t.tags {
+		occ += nz(tag)
+	}
+	s.Occupied = int(occ)
 	s.Entropy = counterEntropy(s.Counters)
 	if t.switches != nil {
-		hist := make([]uint64, 33)
-		maxBucket := 0
-		for _, sw := range t.switches {
-			b := bits.Len32(sw)
-			hist[b]++
-			if b > maxBucket {
-				maxBucket = b
+		const buckets = 33 // bits.Len32 of a uint32 is 0…32
+		var lanes [statLanes][buckets]uint64
+		sw := t.switches
+		i := 0
+		for ; i+statLanes <= len(sw); i += statLanes {
+			lanes[0][bits.Len32(sw[i])]++
+			lanes[1][bits.Len32(sw[i+1])]++
+			lanes[2][bits.Len32(sw[i+2])]++
+			lanes[3][bits.Len32(sw[i+3])]++
+		}
+		for ; i < len(sw); i++ {
+			lanes[0][bits.Len32(sw[i])]++
+		}
+		hist := make([]uint64, buckets)
+		top := 0
+		for b := range hist {
+			for l := range lanes {
+				hist[b] += lanes[l][b]
+			}
+			if hist[b] != 0 {
+				top = b
 			}
 		}
-		s.SharingHist = hist[:maxBucket+1]
+		s.SharingHist = hist[:top+1]
 	}
 	return s
 }
+
+// statLanes is how many independent copies of a histogram stats counts in.
+const statLanes = 4
 
 // counterEntropy is the Shannon entropy, in bits, of a counter-state count
 // vector.

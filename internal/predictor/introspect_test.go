@@ -2,7 +2,11 @@ package predictor
 
 import (
 	"math"
+	"math/bits"
+	"reflect"
 	"testing"
+
+	"branchsim/internal/xrand"
 )
 
 // introspectablePredictors builds every scheme that implements Introspector
@@ -87,6 +91,75 @@ func TestIntrospectAllPredictors(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// naiveStats is table.stats written the plain way, one histogram per loop,
+// for TestTableStatsMatchesNaive to hold the laned version to.
+func naiveStats(t *table, name string) TableStats {
+	s := TableStats{Name: name, Entries: len(t.ctr)}
+	for _, c := range t.ctr {
+		s.Counters[c&ctrMax]++
+	}
+	for _, tag := range t.tags {
+		if tag != 0 {
+			s.Occupied++
+		}
+	}
+	s.Entropy = counterEntropy(s.Counters)
+	if t.switches != nil {
+		hist := make([]uint64, 33)
+		top := 0
+		for _, sw := range t.switches {
+			b := bits.Len32(sw)
+			hist[b]++
+			top = max(top, b)
+		}
+		s.SharingHist = hist[:top+1]
+	}
+	return s
+}
+
+// trainedTable is an entries-sized counter table after a stream of reads
+// and updates from mixed sites, with stats instrumentation on when stats is
+// set.
+func trainedTable(entries int, stats bool) *table {
+	t := newTable(entries)
+	if stats {
+		t.enableStats()
+	}
+	rng := xrand.New(uint64(entries))
+	for i := 0; i < 4*entries; i++ {
+		pc := 0x1000 + uint64(rng.Intn(3*entries))*4
+		idx := pc >> 2 * 0x9e3779b97f4a7c15 >> 40
+		t.read(idx, pc)
+		t.update(idx, rng.Bool(0.7))
+	}
+	return t
+}
+
+func TestTableStatsMatchesNaive(t *testing.T) {
+	for _, entries := range []int{1, 2, 4, 8, 64, 1 << 12} {
+		for _, stats := range []bool{false, true} {
+			tab := trainedTable(entries, stats)
+			if stats {
+				// Counts beyond the stream's reach exercise the top buckets.
+				tab.switches[0] = math.MaxUint32
+			}
+			if got, want := tab.stats("pht"), naiveStats(tab, "pht"); !reflect.DeepEqual(got, want) {
+				t.Errorf("%d entries, stats %v: got %+v, want %+v", entries, stats, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkTableStats snapshots a 32K-entry table, the size of a telemetry
+// row's gshare table; stats is what every interval seal pays per table.
+func BenchmarkTableStats(b *testing.B) {
+	tab := trainedTable(1<<15, true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = tab.stats("pht")
 	}
 }
 

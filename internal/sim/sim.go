@@ -307,13 +307,13 @@ func (r *Runner) Branch(pc uint64, taken bool) {
 
 // RunBlock implements trace.BlockSink: the batched equivalent of calling
 // Ops(ops[i]) then Branch(pcs[i], taken[i]) per event. When the predictor
-// has a native kernel the whole block runs devirtualized and the metrics
-// are folded in wholesale; per-event consumers (profile, telemetry) are
-// then fed from the kernel's per-event outputs, in order. Three cases fall
-// back to the per-event loop, which is bit-identical by construction: a
-// predictor without a kernel; telemetry that samples predictor tables at
-// interval boundaries (the snapshot must observe exactly the events sealed
-// so far, so the predictor may not run ahead of the collector); and a
+// has a native kernel the block runs devirtualized and the metrics are
+// folded in wholesale; the profile and the miss record are then fed from
+// the kernel's per-event outputs, and a telemetry collector segment by
+// segment, each segment cut where the collector seals, so that every
+// table sample sees the predictor exactly as the events sealed so far
+// left it. Two cases fall back to the per-event loop, which is
+// bit-identical by construction: a predictor without a kernel, and a
 // predictor graded per prediction (LastConfidence reports only the most
 // recent Predict, so the kernel may not run ahead of the grader).
 func (r *Runner) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
@@ -332,7 +332,7 @@ func (r *Runner) RunBlockSummed(pcs []uint64, taken []bool, ops []uint64, opsSum
 	if len(pcs) == 0 {
 		return
 	}
-	if r.kern == nil || r.tel.TableSampling() || r.ce != nil {
+	if r.kern == nil || r.ce != nil {
 		for i, pc := range pcs {
 			if ops[i] != 0 {
 				r.Ops(ops[i])
@@ -342,49 +342,54 @@ func (r *Runner) RunBlockSummed(pcs []uint64, taken []bool, ops []uint64, opsSum
 		return
 	}
 	n := len(pcs)
-	var bm predictor.BlockMetrics
+	var correct, collided []bool
 	if r.tel != nil || r.prof != nil || r.miss != nil {
 		if cap(r.scratchCorrect) < n {
 			r.scratchCorrect = make([]bool, n)
 			r.scratchCollided = make([]bool, n)
 		}
-		bm.Correct = r.scratchCorrect[:n]
-		bm.Collided = r.scratchCollided[:n]
+		correct, collided = r.scratchCorrect[:n], r.scratchCollided[:n]
 	}
-	r.kern.RunBlock(pcs, taken, &bm)
-
-	r.metrics.Mispredicts += bm.Mispredicts
 	// The kernel reports raw tag collisions; they count only when this
 	// runner tracks collisions, mirroring the scalar gate on r.col.
 	tracked := r.col != nil
-	if tracked {
-		r.metrics.Collisions.Total += bm.Collisions
-		r.metrics.Collisions.Constructive += bm.Constructive
-		r.metrics.Collisions.Destructive += bm.Destructive
+	ops = ops[:n]
+	var bm predictor.BlockMetrics // one segment's scores
+	for lo := 0; lo < n; {
+		// The segment's first straight-line run may seal, with the state
+		// after the previous segment; Cut stops the segment before any
+		// later one that would.
+		if ops[lo] != 0 && r.tel != nil {
+			r.tel.Ops(ops[lo])
+		}
+		k, straight := r.tel.Cut(ops[lo:])
+		hi := lo + k
+		bm = predictor.BlockMetrics{}
+		if correct != nil {
+			bm.Correct, bm.Collided = correct[lo:hi], collided[lo:hi]
+		}
+		r.kern.RunBlock(pcs[lo:hi], taken[lo:hi], &bm)
+		r.tel.Block(pcs[lo:hi], taken[lo:hi], straight, &bm)
+		r.metrics.Mispredicts += bm.Mispredicts
+		r.metrics.TakenCount += bm.TakenCount
+		if tracked {
+			r.metrics.Collisions.Total += bm.Collisions
+			r.metrics.Collisions.Constructive += bm.Constructive
+			r.metrics.Collisions.Destructive += bm.Destructive
+		}
+		lo = hi
 	}
 	r.metrics.Instructions += opsSum + uint64(n)
 	r.metrics.Branches += uint64(n)
-	r.metrics.TakenCount += bm.TakenCount
 
-	var collided []bool // collisions count only when tracked
-	if tracked {
-		collided = bm.Collided
+	if !tracked {
+		collided = nil // collisions count only when tracked
 	}
 	if r.prof != nil {
-		r.prof.RecordBlock(pcs, taken, bm.Correct, collided)
+		r.prof.RecordBlock(pcs, taken, correct, collided)
 	}
 	if r.miss != nil {
-		r.miss.RecordBlock(pcs, bm.Correct, collided)
-	}
-	if r.tel != nil {
-		// The collector grades nothing here: a graded predictor runs per
-		// event.
-		for i, pc := range pcs {
-			if ops[i] != 0 {
-				r.tel.Ops(ops[i])
-			}
-			r.tel.Branch(pc, taken[i], bm.Correct[i], tracked && bm.Collided[i], predictor.Confidence{})
-		}
+		r.miss.RecordBlock(pcs, correct, collided)
 	}
 
 	// Preserve the observer-flush and cancellation cadence at block

@@ -11,10 +11,16 @@ import "sort"
 //
 // The sketch is fully deterministic for a given increment sequence — the
 // telemetry golden tests rely on that.
+//
+// Add runs once per mispredicted or destructively colliding branch, so the
+// key lookup is a flat open-addressed table rather than a Go map: linear
+// probing from a Fibonacci hash, at most a quarter full, so a lookup rarely
+// goes past its first cell.
 type spaceSaving struct {
 	k     int
-	items map[uint64]*ssItem
 	heap  []*ssItem // min-heap ordered by (count, pc)
+	tab   []*ssItem // the tracked items by key; nil cells are empty
+	shift uint      // 64 - log2(len(tab)): home keeps the hash's top bits
 }
 
 type ssItem struct {
@@ -25,22 +31,25 @@ type ssItem struct {
 }
 
 func newSpaceSaving(k int) *spaceSaving {
-	if k < 1 {
-		k = 1
+	k = max(k, 1)
+	n, shift := 4, uint(62)
+	for n < 4*k {
+		n, shift = 2*n, shift-1
 	}
-	return &spaceSaving{k: k, items: make(map[uint64]*ssItem, k)}
+	return &spaceSaving{k: k, tab: make([]*ssItem, n), shift: shift}
 }
 
 // Add credits key pc with one occurrence.
 func (s *spaceSaving) Add(pc uint64) {
-	if it, ok := s.items[pc]; ok {
+	c := s.cell(pc)
+	if it := s.tab[c]; it != nil {
 		it.count++
 		s.down(it.idx)
 		return
 	}
 	if len(s.heap) < s.k {
 		it := &ssItem{pc: pc, count: 1, idx: len(s.heap)}
-		s.items[pc] = it
+		s.tab[c] = it
 		s.heap = append(s.heap, it)
 		s.up(it.idx)
 		return
@@ -48,12 +57,40 @@ func (s *spaceSaving) Add(pc uint64) {
 	// Full: the minimum-count item hands its slot (and its count, as the
 	// new item's error bound) to the newcomer.
 	it := s.heap[0]
-	delete(s.items, it.pc)
+	s.remove(s.cell(it.pc))
 	it.pc = pc
 	it.err = it.count
 	it.count++
-	s.items[pc] = it
+	s.tab[s.cell(pc)] = it // remove may have moved pc's empty cell
 	s.down(0)
+}
+
+// home is pc's first cell: the top bits of pc times 2^64/φ.
+func (s *spaceSaving) home(pc uint64) int { return int(pc * 0x9e3779b97f4a7c15 >> s.shift) }
+
+// cell returns the cell holding pc's item, or the empty cell that ends
+// pc's probe when pc is not tracked.
+func (s *spaceSaving) cell(pc uint64) int {
+	mask := len(s.tab) - 1
+	for i := s.home(pc); ; i = (i + 1) & mask {
+		if it := s.tab[i]; it == nil || it.pc == pc {
+			return i
+		}
+	}
+}
+
+// remove empties cell i and closes the gap behind it (backward-shift
+// deletion): each later item of the probe run moves into the gap unless its
+// home lies after the gap, so that every probe still reaches its item.
+func (s *spaceSaving) remove(i int) {
+	mask := len(s.tab) - 1
+	for j := (i + 1) & mask; s.tab[j] != nil; j = (j + 1) & mask {
+		if (j-s.home(s.tab[j].pc))&mask >= (j-i)&mask {
+			s.tab[i] = s.tab[j]
+			i = j
+		}
+	}
+	s.tab[i] = nil
 }
 
 // Counted is one reported heavy hitter.

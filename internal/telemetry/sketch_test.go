@@ -91,3 +91,66 @@ func TestSpaceSavingDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// naiveSketch is space-saving written from its definition, with a linear
+// scan for the key and for the minimum, to hold the sketch's lookup table
+// and heap to.
+type naiveSketch struct {
+	k     int
+	items []Counted
+}
+
+func (n *naiveSketch) add(pc uint64) {
+	for i := range n.items {
+		if n.items[i].PC == pc {
+			n.items[i].Count++
+			return
+		}
+	}
+	if len(n.items) < n.k {
+		n.items = append(n.items, Counted{PC: pc, Count: 1})
+		return
+	}
+	m := 0
+	for i, it := range n.items {
+		if it.Count < n.items[m].Count || it.Count == n.items[m].Count && it.PC < n.items[m].PC {
+			m = i
+		}
+	}
+	n.items[m] = Counted{PC: pc, Count: n.items[m].Count + 1, MaxError: n.items[m].Count}
+}
+
+func TestSpaceSavingMatchesNaive(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 16, 40} {
+		for _, keys := range []int{2, 50, 5000} {
+			s := newSpaceSaving(k)
+			ref := naiveSketch{k: k}
+			rng := xrand.New(uint64(k*keys + 1))
+			for i := 0; i < 3000; i++ {
+				// Multiples of a large power of two share their hash's low
+				// bits, which packs them into long probe runs.
+				pc := uint64(rng.Intn(keys)) << (20 * (i % 2))
+				s.Add(pc)
+				ref.add(pc)
+				if s.Len() != len(ref.items) {
+					t.Fatalf("k=%d keys=%d step %d: tracks %d keys, want %d", k, keys, i, s.Len(), len(ref.items))
+				}
+				cells := 0
+				for _, c := range s.tab {
+					if c != nil {
+						cells++
+					}
+				}
+				if cells != s.Len() {
+					t.Fatalf("k=%d keys=%d step %d: %d table cells hold %d keys", k, keys, i, cells, s.Len())
+				}
+				for _, it := range ref.items {
+					c := s.tab[s.cell(it.PC)]
+					if c == nil || c.count != it.Count || c.err != it.MaxError {
+						t.Fatalf("k=%d keys=%d step %d: key %#x is %+v, want %+v", k, keys, i, it.PC, c, it)
+					}
+				}
+			}
+		}
+	}
+}

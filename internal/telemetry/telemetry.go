@@ -5,10 +5,13 @@
 // destructive vs constructive aliasing, per-branch bias vs accuracy, PHT
 // pressure — into journal records.
 //
-// A Collector is bound to exactly one simulation arm (one runner). It is
-// fed per-event by the sim loop, seals an interval record every
-// Config.Interval instructions, and buffers everything until Finish, when
-// the records flow out through the obs journal in one deterministic batch.
+// A Collector is bound to exactly one simulation arm (one runner). The sim
+// loop feeds it one event at a time (Ops, Branch) or, behind a block kernel,
+// one segment of a block at a time (Cut, Block); either way it seals an
+// interval record every Config.Interval instructions, with the predictor's
+// tables exactly as the events sealed so far left them, and buffers
+// everything until Finish, when the records flow out through the obs
+// journal in one deterministic batch.
 // Records carry no wall-clock fields, so a given (workload, input,
 // predictor) triple journals byte-identical telemetry on every run, at any
 // replay worker count.
@@ -18,6 +21,7 @@ import (
 	"math"
 
 	"branchsim/internal/obs"
+	"branchsim/internal/pcslot"
 	"branchsim/internal/predictor"
 )
 
@@ -54,7 +58,7 @@ type Config struct {
 	// TopK is the worst-offender list capacity; 0 disables the per-branch
 	// tracker, negative means DefaultTopK.
 	TopK int
-	// SiteCap bounds the per-branch site map (0 means DefaultSiteCap). The
+	// SiteCap bounds the per-branch site table (0 means DefaultSiteCap). The
 	// cap trades per-branch histogram completeness for bounded memory;
 	// branches beyond it are counted in SitesDropped.
 	SiteCap int
@@ -121,8 +125,10 @@ type Collector struct {
 	pConfLow, pConfLM, pConfHM uint64
 	pScoreHist                 [8]uint64
 
-	// Per-branch tracking (TopK != 0).
-	sites        map[uint64]*site
+	// Per-branch tracking (TopK != 0; topDest is nil otherwise). sites[s]
+	// is the profile of the branch idx numbers s.
+	idx          pcslot.Index
+	sites        []site
 	sitesDropped uint64
 	topDest      *spaceSaving
 	topMisp      *spaceSaving
@@ -150,7 +156,6 @@ func New(cfg Config, o *obs.Observer) *Collector {
 	}
 	c := &Collector{cfg: cfg, o: o, next: cfg.Interval}
 	if cfg.TopK != 0 {
-		c.sites = make(map[uint64]*site)
 		c.topDest = newSpaceSaving(cfg.TopK)
 		c.topMisp = newSpaceSaving(cfg.TopK)
 	}
@@ -193,25 +198,19 @@ func (c *Collector) Bind(p predictor.Predictor, workload, input, pred string, tr
 	if c.cfg.Confidence {
 		if _, ok := predictor.ConfidenceEstimatorOf(p); ok {
 			c.grades = true
-			if c.sites != nil {
+			if c.topDest != nil {
 				c.topLow = newSpaceSaving(c.cfg.TopK)
 			}
 		}
 	}
 }
 
-// TableSampling reports whether the collector introspects predictor tables
-// at interval boundaries (TableStats configured and the bound predictor
-// supports it). Callers batching the event stream must fall back to
-// per-event feeding when this is true: a boundary seal snapshots the live
-// tables, so the predictor may not run ahead of the collector. Safe on nil.
-func (c *Collector) TableSampling() bool { return c != nil && (c.in != nil || c.tin != nil) }
-
 // ConfidenceSampling reports whether the collector grades every prediction
 // (Confidence configured and the bound predictor estimates it). The caller
 // then reads the predictor's LastConfidence after each Predict and hands it
-// to Branch, so it must feed events one at a time: the predictor may not
-// run ahead of its grade. Safe on nil.
+// to Branch, so it must feed events one at a time through Branch: the
+// predictor may not run ahead of its grade, and Block takes no grades.
+// Safe on nil.
 func (c *Collector) ConfidenceSampling() bool { return c != nil && c.grades }
 
 // Branch feeds one dynamic branch: its resolved direction, whether the
@@ -259,17 +258,13 @@ func (c *Collector) Branch(pc uint64, taken, correct, collided bool, conf predic
 		}
 		c.scoreHist[b]++
 	}
-	if c.sites != nil {
-		s := c.sites[pc]
-		if s == nil {
-			if len(c.sites) >= c.cfg.SiteCap {
-				c.sitesDropped++
-			} else {
-				s = &site{}
-				c.sites[pc] = s
-			}
+	if c.topDest != nil {
+		slot := c.idx.Slot(pc)
+		if slot < 0 {
+			slot = c.addSite(pc)
 		}
-		if s != nil {
+		if slot >= 0 {
+			s := &c.sites[slot]
 			s.execs++
 			if taken {
 				s.taken++
@@ -287,6 +282,94 @@ func (c *Collector) Branch(pc uint64, taken, correct, collided bool, conf predic
 		}
 		if low && c.topLow != nil {
 			c.topLow.Add(pc)
+		}
+	}
+	if c.instr >= c.next {
+		c.seal()
+	}
+}
+
+// addSite gives pc, which has no slot yet, the next one, or returns -1 and
+// counts pc in sitesDropped when the tracker already holds SiteCap sites.
+func (c *Collector) addSite(pc uint64) int {
+	if c.idx.Len() >= c.cfg.SiteCap {
+		c.sitesDropped++
+		return -1
+	}
+	c.sites = append(c.sites, site{})
+	return c.idx.Add(pc)
+}
+
+// Cut sizes the next segment of a block that a kernel runs ahead of the
+// collector. ops holds the straight-line runs of the block's remaining
+// events, ops[0] already charged through Ops. Cut returns n, how many of
+// those events run before the next seal, and straight, the instructions of
+// ops[1:n], which Block charges. The seal that ends the segment falls
+// either at its last event's branch, which Block then seals, or in
+// Ops(ops[n]) on the next segment, with the state after event n-1: either
+// way no seal sees the predictor past the events it closes. A nil collector
+// never seals, so the whole block is one segment. Safe on nil.
+func (c *Collector) Cut(ops []uint64) (n int, straight uint64) {
+	if c == nil {
+		return len(ops), 0
+	}
+	// left counts the instructions to the boundary after each event's
+	// branch: 0 when that branch sealed, and then ops[i] >= left ends the
+	// segment before event i as surely as a run that reaches the boundary.
+	left := c.next - c.instr - 1 // Ops leaves c.instr below c.next
+	for i := 1; i < len(ops); i++ {
+		if ops[i] >= left {
+			return i, straight
+		}
+		left -= ops[i] + 1
+		straight += ops[i]
+	}
+	return len(ops), straight
+}
+
+// Block feeds one segment that Cut sized and a kernel ran: its branches
+// pcs and taken, the straight-line instructions between them, and m, the
+// segment's own scores. Collision counts and flags in m are raw kernel
+// output and count only when the arm tracks collisions; m's per-event
+// Correct and Collided columns are read only by the per-branch tracker
+// (TopK), which must then have them. The counters advance wholesale and
+// the segment's last event seals when it reaches a boundary, as Branch
+// would. Safe on nil.
+func (c *Collector) Block(pcs []uint64, taken []bool, straight uint64, m *predictor.BlockMetrics) {
+	if c == nil {
+		return
+	}
+	n := uint64(len(pcs))
+	c.instr += straight + n
+	c.branches += n
+	c.taken += m.TakenCount
+	c.misp += m.Mispredicts
+	if c.tracked {
+		c.col += m.Collisions
+		c.cons += m.Constructive
+		c.dest += m.Destructive
+	}
+	if c.topDest != nil {
+		correct := m.Correct[:len(pcs)]
+		collided := m.Collided[:len(pcs)]
+		taken = taken[:len(pcs)]
+		for i, pc := range pcs {
+			slot := c.idx.Slot(pc)
+			if slot < 0 {
+				slot = c.addSite(pc)
+			}
+			if slot >= 0 {
+				s := &c.sites[slot]
+				s.execs++
+				s.taken += pcslot.Bit(taken[i])
+				if !correct[i] {
+					s.misp++
+					c.topMisp.Add(pc)
+				}
+			}
+			if c.tracked && collided[i] && !correct[i] {
+				c.topDest.Add(pc)
+			}
 		}
 	}
 	if c.instr >= c.next {
@@ -464,7 +547,7 @@ func (c *Collector) Finish() Records {
 		for i := range c.confidence {
 			c.o.Emit(&c.confidence[i])
 		}
-		if c.sites != nil {
+		if c.topDest != nil {
 			c.buildTopK()
 		}
 	}
@@ -483,7 +566,7 @@ func (c *Collector) buildTopK() {
 	rec := obs.TopKRecord{
 		Workload: c.workload, Input: c.input, Predictor: c.pred,
 		K:            c.cfg.TopK,
-		Sites:        len(c.sites),
+		Sites:        c.idx.Len(),
 		SitesDropped: c.sitesDropped,
 	}
 	biasHist := make([]uint64, maxHistBucket+1)
@@ -522,7 +605,7 @@ func (c *Collector) buildTopK() {
 	liveTop := rec
 	c.o.Publish(&liveTop)
 	c.o.Counter(obs.MTelemetryTopK).Add(1)
-	c.o.Gauge(obs.MTelemetrySites).Set(int64(len(c.sites)))
+	c.o.Gauge(obs.MTelemetrySites).Set(int64(c.idx.Len()))
 	c.o.Counter(obs.MTelemetrySitesDropped).Add(c.sitesDropped)
 }
 
@@ -537,7 +620,8 @@ func (c *Collector) branchCounts(s *spaceSaving, withLowRate bool) []obs.BranchC
 	out := make([]obs.BranchCount, 0, len(top))
 	for _, t := range top {
 		bc := obs.BranchCount{PC: t.PC, Count: t.Count, MaxError: t.MaxError}
-		if st := c.sites[t.PC]; st != nil && st.execs > 0 {
+		if slot := c.idx.Slot(t.PC); slot >= 0 && c.sites[slot].execs > 0 {
+			st := &c.sites[slot]
 			bc.Execs = st.execs
 			bias := float64(st.taken) / float64(st.execs)
 			if bias < 0.5 {
