@@ -40,10 +40,10 @@
 //
 //	bpexperiment -run all -serve 127.0.0.1:8080 -interval 100000 -topk 16
 //
-// Storage is durable by default: captured trace chunks carry CRC32C
-// checksums that are verified before every replay (-verify-chunks=false
-// turns this off for benchmarking), corrupt chunks are quarantined and the
-// capture retried (-quarantine-dir preserves the evidence), and checkpoint
+// Storage is durable: captured trace chunks that leave decoded form carry
+// CRC32C checksums that are verified before every replay, corrupt chunks
+// are quarantined and the capture retried (-quarantine-dir preserves the
+// evidence), and checkpoint
 // records are fsynced through atomic renames so a crash never leaves a
 // torn record behind.
 package main

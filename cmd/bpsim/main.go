@@ -39,7 +39,6 @@ func main() {
 		hintsPath  = flag.String("hints", "", "static hint database (JSON) produced by bpselect")
 		shift      = flag.Bool("shift", false, "shift outcomes of statically predicted branches into the global history")
 		collisions = flag.Bool("collisions", true, "track predictor-table collisions")
-		noBatch    = flag.Bool("no-batch", false, "simulate per-event through the scalar Predict/Update protocol instead of the batched block kernel (results are bit-identical; batch is faster)")
 		list       = flag.Bool("list", false, "list workloads and predictor schemes, then exit")
 		observe    cliflags.Obs
 		tel        cliflags.Telemetry
@@ -58,13 +57,13 @@ func main() {
 		return
 	}
 
-	if err := run(*wl, *input, *pred, *hintsPath, observe.MetricsAddr, observe.ServeAddr, observe.JournalPath, *shift, *collisions, *noBatch, tel.Config()); err != nil {
+	if err := run(*wl, *input, *pred, *hintsPath, observe.MetricsAddr, observe.ServeAddr, observe.JournalPath, *shift, *collisions, tel.Config()); err != nil {
 		fmt.Fprintln(os.Stderr, "bpsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(wl, input, pred, hintsPath, metricsAddr, serveAddr, journalPath string, shift, collisions, noBatch bool, tel branchsim.TelemetryConfig) error {
+func run(wl, input, pred, hintsPath, metricsAddr, serveAddr, journalPath string, shift, collisions bool, tel branchsim.TelemetryConfig) error {
 	dyn, err := branchsim.NewPredictor(pred)
 	if err != nil {
 		return err
@@ -113,9 +112,6 @@ func run(wl, input, pred, hintsPath, metricsAddr, serveAddr, journalPath string,
 	}
 	if collisions {
 		simOpts = append(simOpts, branchsim.WithCollisions())
-	}
-	if noBatch {
-		simOpts = append(simOpts, branchsim.WithBatch(false))
 	}
 	m, err := branchsim.Simulate(context.Background(), simOpts...)
 	if err != nil {

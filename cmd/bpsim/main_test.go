@@ -11,7 +11,7 @@ import (
 var noTel = branchsim.TelemetryConfig{}
 
 func TestRunPlain(t *testing.T) {
-	if err := run("compress", "test", "gshare:1KB", "", "", "", "", false, true, false, noTel); err != nil {
+	if err := run("compress", "test", "gshare:1KB", "", "", "", "", false, true, noTel); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -35,11 +35,11 @@ func TestRunWithHints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := run("compress", "test", "gshare:1KB", hintsPath, "", "", "", true, true, false, noTel); err != nil {
+	if err := run("compress", "test", "gshare:1KB", hintsPath, "", "", "", true, true, noTel); err != nil {
 		t.Fatal(err)
 	}
 	// hints for the wrong workload must be rejected
-	if err := run("ijpeg", "test", "gshare:1KB", hintsPath, "", "", "", false, false, false, noTel); err == nil {
+	if err := run("ijpeg", "test", "gshare:1KB", hintsPath, "", "", "", false, false, noTel); err == nil {
 		t.Fatal("wrong-workload hints accepted")
 	}
 }
@@ -47,7 +47,7 @@ func TestRunWithHints(t *testing.T) {
 func TestRunWithTelemetryJournal(t *testing.T) {
 	journalPath := filepath.Join(t.TempDir(), "run.jsonl")
 	tel := branchsim.TelemetryConfig{Interval: 50_000, TableStats: true, TopK: 8}
-	if err := run("compress", "test", "gshare:1KB", "", "", "", journalPath, false, true, false, tel); err != nil {
+	if err := run("compress", "test", "gshare:1KB", "", "", "", journalPath, false, true, tel); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := branchsim.ReadJournalRecordsFile(journalPath)
@@ -64,13 +64,13 @@ func TestRunWithTelemetryJournal(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("compress", "test", "nosuch", "", "", "", "", false, false, false, noTel); err == nil {
+	if err := run("compress", "test", "nosuch", "", "", "", "", false, false, noTel); err == nil {
 		t.Fatal("bad predictor accepted")
 	}
-	if err := run("nosuch", "test", "gshare:1KB", "", "", "", "", false, false, false, noTel); err == nil {
+	if err := run("nosuch", "test", "gshare:1KB", "", "", "", "", false, false, noTel); err == nil {
 		t.Fatal("bad workload accepted")
 	}
-	if err := run("compress", "test", "gshare:1KB", "/nonexistent/h.json", "", "", "", false, false, false, noTel); err == nil {
+	if err := run("compress", "test", "gshare:1KB", "/nonexistent/h.json", "", "", "", false, false, noTel); err == nil {
 		t.Fatal("missing hints file accepted")
 	}
 }

@@ -51,25 +51,24 @@ func (t *Telemetry) Config() telemetry.Config {
 func (t *Telemetry) Enabled() bool { return t.Config().Enabled() }
 
 // Replay is the capture-once replay engine flag group: -workers, -no-replay,
-// -no-batch, -replay-mem, -replay-spill, -verify-chunks, -quarantine-dir.
+// -replay-mem, -replay-spill, -quarantine-dir. -no-replay is also the
+// scalar route: each arm executes the workload and simulates per event,
+// with no capture, no decode and no block kernel, which makes it the
+// reference to bisect a suspect kernel against.
 type Replay struct {
 	Workers       int
 	NoReplay      bool
-	NoBatch       bool
 	MemMB         int
 	SpillDir      string
-	VerifyChunks  bool
 	QuarantineDir string
 }
 
 // Register binds the replay flags to fs.
 func (r *Replay) Register(fs *flag.FlagSet) {
 	fs.IntVar(&r.Workers, "workers", runtime.GOMAXPROCS(0), "concurrent trace replays in the capture-once engine")
-	fs.BoolVar(&r.NoReplay, "no-replay", false, "execute the workload for every arm instead of capturing its branch stream once and replaying it")
-	fs.BoolVar(&r.NoBatch, "no-batch", false, "replay per-event through the scalar Predict/Update protocol instead of the batched block kernel (results are bit-identical; this is an escape hatch and benchmarking baseline)")
+	fs.BoolVar(&r.NoReplay, "no-replay", false, "execute the workload for every arm and simulate it per event, instead of capturing its branch stream once and replaying it in blocks (results are bit-identical; this is the scalar route for bisecting a suspect kernel)")
 	fs.IntVar(&r.MemMB, "replay-mem", 512, "in-memory budget for captured traces in MiB, decoded and encoded chunks alike: chunks stay decoded while they fit, are encoded once they do not, and spill to disk when the encoded form does not fit either (0 = unlimited: every chunk stays decoded)")
 	fs.StringVar(&r.SpillDir, "replay-spill", "", "directory for spilled trace chunks (default: the system temp directory)")
-	fs.BoolVar(&r.VerifyChunks, "verify-chunks", true, "CRC32C-verify every encoded trace chunk before replaying it; corrupt chunks are quarantined and the capture retried")
 	fs.StringVar(&r.QuarantineDir, "quarantine-dir", "", "preserve corrupt trace chunks and spill files in this directory for post-mortem (default: discard them)")
 }
 
@@ -81,10 +80,7 @@ func (r *Replay) HarnessOptions(logf func(format string, args ...any)) ([]experi
 	if r.NoReplay {
 		return nil, func() {}
 	}
-	ropts := []replay.Option{
-		replay.WithVerify(r.VerifyChunks),
-		replay.WithBatch(!r.NoBatch),
-	}
+	var ropts []replay.Option
 	if logf != nil {
 		ropts = append(ropts, replay.WithLogf(logf))
 	}

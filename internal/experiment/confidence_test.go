@@ -19,16 +19,20 @@ var confidenceArms = []string{"tage", "perceptron"}
 
 // confidenceSweep runs the two self-grading predictors over compress/test
 // with tagged-table and confidence telemetry enabled and returns the parsed
-// journal plus the raw journal bytes.
-func confidenceSweep(t *testing.T, workers int, concurrent bool, opts ...HarnessOption) (*obs.Records, []byte) {
+// journal plus the raw journal bytes. workers 0 attaches no replay engine:
+// each arm executes the workload directly, per event.
+func confidenceSweep(t *testing.T, workers int, concurrent bool) (*obs.Records, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := obs.New(obs.WithJournal(obs.NewJournal(&buf)))
-	h := NewQuickHarness(append([]HarnessOption{
+	hopts := []HarnessOption{
 		WithObserver(sink),
-		WithWorkers(workers),
 		WithTelemetry(telemetry.Config{Interval: 50_000, TableStats: true, Confidence: true, TopK: 8}),
-	}, opts...)...)
+	}
+	if workers > 0 {
+		hopts = append(hopts, WithWorkers(workers))
+	}
+	h := NewQuickHarness(hopts...)
 	defer h.Close()
 	ctx := context.Background()
 
@@ -90,16 +94,17 @@ func confidenceLines(raw []byte, predictor string) []string {
 // TestConfidenceGoldenByteStable extends the golden determinism contract to
 // the two record types this layer adds: an arm's tagged_table_stats and
 // confidence streams are byte-identical across repeated runs, across replay
-// worker counts (workers=1 sequential vs workers=8 concurrent), and across
-// the batched kernel being on or off. Both predictors fall back to the
-// scalar path when these samplers are live, so any byte difference means a
-// sampler observed scheduling rather than the branch stream.
+// worker counts (workers=1 sequential vs workers=8 concurrent), and against
+// direct execution with no replay engine, run sequentially and
+// concurrently. Both predictors fall back to the scalar path when these
+// samplers are live, so any byte difference means a sampler observed
+// scheduling rather than the branch stream.
 func TestConfidenceGoldenByteStable(t *testing.T) {
 	recs1, raw1 := confidenceSweep(t, 1, false)
 	_, raw2 := confidenceSweep(t, 1, false)
 	_, raw8 := confidenceSweep(t, 8, true)
-	_, rawNB1 := confidenceSweep(t, 1, false, WithBatch(false))
-	_, rawNB8 := confidenceSweep(t, 8, true, WithBatch(false))
+	_, rawDirect := confidenceSweep(t, 0, false)
+	_, rawDirectConc := confidenceSweep(t, 0, true)
 
 	// Discover the combined-predictor arm labels from the journal.
 	names := map[string]string{} // base spec -> arm label
@@ -125,10 +130,10 @@ func TestConfidenceGoldenByteStable(t *testing.T) {
 		}
 		joined := strings.Join(golden, "\n")
 		for label, raw := range map[string][]byte{
-			"identical rerun":       raw2,
-			"workers=8":             raw8,
-			"-no-batch (workers=1)": rawNB1,
-			"-no-batch (workers=8)": rawNB8,
+			"identical rerun":   raw2,
+			"workers=8":         raw8,
+			"direct sequential": rawDirect,
+			"direct concurrent": rawDirectConc,
 		} {
 			if got := strings.Join(confidenceLines(raw, arm), "\n"); got != joined {
 				t.Errorf("%s: record stream differs vs %s:\ngolden:\n%s\ngot:\n%s", arm, label, joined, got)

@@ -70,13 +70,10 @@ type Harness struct {
 	obs         *obs.Observer                                  // WithObserver
 
 	// workers / wantOwnedReplay / ownedReplay implement WithWorkers: a
-	// replay engine the harness creates and Close releases. noBatch
-	// (WithBatch(false)) builds that engine with the batched replay kernel
-	// disabled.
+	// replay engine the harness creates and Close releases.
 	workers         int
 	wantOwnedReplay bool
 	ownedReplay     bool
-	noBatch         bool
 
 	// telemetry configures per-arm simulation-domain telemetry (interval
 	// time-series, table samples, top-K); the zero config disables it. Each
@@ -335,8 +332,7 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 
 // biasOnly is the recorder of a bias-only profile: it counts each branch's
 // executions and taken outcomes, and the stream's instructions. It takes
-// events one at a time or in blocks, so a batch-mode replay engine captures
-// through it without the per-event tee.
+// events one at a time (direct execution) or in blocks (the replay engine).
 type biasOnly struct {
 	db    *profile.DB
 	instr uint64

@@ -56,14 +56,6 @@ func WithWorkers(n int) HarnessOption {
 	return func(h *Harness) { h.workers = n; h.wantOwnedReplay = true }
 }
 
-// WithBatch toggles the batched replay kernel on the harness-owned replay
-// engine created by WithWorkers (the default is on; see replay.WithBatch).
-// An engine supplied via WithReplay keeps its own configuration — configure
-// it with replay.WithBatch directly.
-func WithBatch(on bool) HarnessOption {
-	return func(h *Harness) { h.noBatch = !on }
-}
-
 // WithObserver threads the observability layer through the harness: per-arm
 // lifecycle spans (with phase timings and cache-hit provenance) flow to o's
 // journal, and the harness's counters — arms, retries, checkpoint and
@@ -103,7 +95,7 @@ func (h *Harness) apply(opts []HarnessOption) *Harness {
 		opt(h)
 	}
 	if h.Replay == nil && h.wantOwnedReplay {
-		h.Replay = replay.New(h.workers, 0, "", replay.WithBatch(!h.noBatch))
+		h.Replay = replay.New(h.workers, 0, "")
 		h.ownedReplay = true
 	}
 	if h.Replay != nil && h.obs != nil {

@@ -23,7 +23,8 @@ import (
 
 // telemetrySweep runs the five paper predictors over compress/test through a
 // telemetry-enabled harness with the given replay worker count and returns
-// the parsed journal plus the raw journal bytes.
+// the parsed journal plus the raw journal bytes. workers 0 attaches no
+// replay engine: each arm executes the workload directly, per event.
 func telemetrySweep(t *testing.T, workers int, concurrent bool, opts ...HarnessOption) (*obs.Records, []byte) {
 	return telemetrySweepWith(t, workers, concurrent, nil, opts...)
 }
@@ -31,7 +32,7 @@ func telemetrySweep(t *testing.T, workers int, concurrent bool, opts ...HarnessO
 // telemetrySweepWith is telemetrySweep with a tap hook: tap runs against the
 // observer before the sweep starts (to attach dashboards, subscribers, …) and
 // its returned stop func runs after the journal is sealed. Extra harness
-// options (WithBatch(false), …) append after the defaults.
+// options append after the defaults.
 func telemetrySweepWith(t *testing.T, workers int, concurrent bool, tap func(sink *obs.Observer) (stop func()), opts ...HarnessOption) (*obs.Records, []byte) {
 	return telemetrySweepObs(t, workers, concurrent, nil, tap, opts...)
 }
@@ -46,11 +47,14 @@ func telemetrySweepObs(t *testing.T, workers int, concurrent bool, obsOpts []obs
 	if tap != nil {
 		defer tap(sink)()
 	}
-	h := NewQuickHarness(append([]HarnessOption{
+	hopts := []HarnessOption{
 		WithObserver(sink),
-		WithWorkers(workers),
 		WithTelemetry(telemetry.Config{Interval: 50_000, TableStats: true, TopK: 8}),
-	}, opts...)...)
+	}
+	if workers > 0 {
+		hopts = append(hopts, WithWorkers(workers))
+	}
+	h := NewQuickHarness(append(hopts, opts...)...)
 	defer h.Close()
 	ctx := context.Background()
 
@@ -201,17 +205,17 @@ func telemetryLines(raw []byte, predictor string) []string {
 // TestTelemetryGoldenByteStable is the golden determinism test: the
 // telemetry record stream of a fixed (workload, input, predictor) triple is
 // byte-identical across repeated runs, across replay worker counts
-// (sequential workers=1 vs concurrent workers=8), and across the batched
-// kernel being on or off — the full batch-on/off × workers=1/8 matrix, so
-// the kernel cannot perturb interval sealing or record order. Telemetry
-// records carry no wall-clock fields, so any byte difference is a real
-// nondeterminism bug.
+// (sequential workers=1 vs concurrent workers=8), and against direct
+// execution with no replay engine, where each arm simulates per event, run
+// sequentially and concurrently — so neither the block kernels nor replay
+// can perturb interval sealing or record order. Telemetry records carry no
+// wall-clock fields, so any byte difference is a real nondeterminism bug.
 func TestTelemetryGoldenByteStable(t *testing.T) {
 	recs1, raw1 := telemetrySweep(t, 1, false)
 	_, raw2 := telemetrySweep(t, 1, false)
 	_, raw8 := telemetrySweep(t, 8, true)
-	_, rawNB1 := telemetrySweep(t, 1, false, WithBatch(false))
-	_, rawNB8 := telemetrySweep(t, 8, true, WithBatch(false))
+	_, rawDirect := telemetrySweep(t, 0, false)
+	_, rawDirectConc := telemetrySweep(t, 0, true)
 
 	// Arm labels come from the combined predictor's Name(); discover them
 	// from the parsed journal rather than hard-coding the format.
@@ -241,13 +245,13 @@ func TestTelemetryGoldenByteStable(t *testing.T) {
 		t.Errorf("telemetry stream differs between workers=1 and workers=8:\nworkers=1:\n%s\nworkers=8:\n%s",
 			strings.Join(golden, "\n"), strings.Join(conc, "\n"))
 	}
-	if nb := telemetryLines(rawNB1, triple); strings.Join(golden, "\n") != strings.Join(nb, "\n") {
-		t.Errorf("telemetry stream differs between batch and -no-batch (workers=1):\nbatch:\n%s\nno-batch:\n%s",
-			strings.Join(golden, "\n"), strings.Join(nb, "\n"))
+	if d := telemetryLines(rawDirect, triple); strings.Join(golden, "\n") != strings.Join(d, "\n") {
+		t.Errorf("telemetry stream differs between replay and direct execution (sequential):\nreplay:\n%s\ndirect:\n%s",
+			strings.Join(golden, "\n"), strings.Join(d, "\n"))
 	}
-	if nb8 := telemetryLines(rawNB8, triple); strings.Join(golden, "\n") != strings.Join(nb8, "\n") {
-		t.Errorf("telemetry stream differs between batch and -no-batch (workers=8):\nbatch:\n%s\nno-batch:\n%s",
-			strings.Join(golden, "\n"), strings.Join(nb8, "\n"))
+	if d := telemetryLines(rawDirectConc, triple); strings.Join(golden, "\n") != strings.Join(d, "\n") {
+		t.Errorf("telemetry stream differs between replay and direct execution (concurrent):\nreplay:\n%s\ndirect:\n%s",
+			strings.Join(golden, "\n"), strings.Join(d, "\n"))
 	}
 
 	// The full telemetry record *set* (all five arms) is also identical —
@@ -261,7 +265,7 @@ func TestTelemetryGoldenByteStable(t *testing.T) {
 		return strings.Join(all, "\n")
 	}
 	for label, raw := range map[string][]byte{
-		"workers=8": raw8, "no-batch workers=1": rawNB1, "no-batch workers=8": rawNB8,
+		"workers=8": raw8, "direct sequential": rawDirect, "direct concurrent": rawDirectConc,
 	} {
 		if sorted(raw1) != sorted(raw) {
 			t.Errorf("telemetry record sets differ between the golden run and %s", label)

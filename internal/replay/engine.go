@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"branchsim/internal/fsx"
 	"branchsim/internal/obs"
 	"branchsim/internal/trace"
-	"branchsim/internal/workload"
 )
 
 // Engine shares captured traces between arms. Concurrent requests for the
@@ -28,8 +26,6 @@ type Engine struct {
 
 	// Durability policy (see the Option constructors).
 	fs      fsx.FS
-	verify  bool
-	batch   bool
 	quarDir string
 	logf    func(format string, args ...any)
 
@@ -58,26 +54,6 @@ type Engine struct {
 // Option adjusts an Engine's durability policy at construction.
 type Option func(*Engine)
 
-// WithVerify toggles checksum verification of chunks on replay (the
-// default is on). Verification catches spill-file corruption — a flipped
-// bit, a torn write — before a single poisoned event reaches an arm; the
-// corrupt chunk is quarantined and the stream transparently recaptured.
-// Turning it off trades that safety for the (small) CRC cost per replayed
-// chunk; the durability benchmark measures the difference.
-func WithVerify(on bool) Option { return func(e *Engine) { e.verify = on } }
-
-// WithBatch toggles the batched replay kernel (the default is on). When on,
-// a recorder that consumes blocks (trace.BlockSink — sim.Runner and the
-// harness's bias-only profiler do) is fed whole blocks instead of per-event
-// Branch calls, and a capturing arm of that kind is fed each chunk's
-// decoded arrays as the chunk seals, instead of simulating per-event inside
-// the instrumented execution. When off, every recorder gets per-event
-// Branch and Ops calls, through a tee while capturing and from the chunks
-// when replaying. Results are bit-identical either way — the differential
-// tests prove it — so off is purely an escape hatch (the CLIs expose it as
-// -no-batch) and the scalar baseline for benchmarks.
-func WithBatch(on bool) Option { return func(e *Engine) { e.batch = on } }
-
 // WithQuarantine sets the directory corrupt chunks are preserved in for
 // forensics: the offending chunk's bytes are written there as a standalone
 // framed trace file, and a corrupt spill file is renamed there instead of
@@ -101,8 +77,9 @@ func WithLogf(logf func(format string, args ...any)) Option {
 // alike: a chunk that does not fit decoded is encoded, and one that does
 // not fit encoded either spills to disk (<= 0 means unlimited, nothing
 // spills); spillDir is where spill files go ("" means the system temp
-// directory). Chunk checksum verification is on unless WithVerify(false)
-// says otherwise.
+// directory). Every arm is fed whole blocks (see trace.Blocks), and every
+// encoded chunk is checksum-verified before it is replayed or exported: a
+// corrupt one is quarantined and the stream recaptured.
 func New(workers int, memBudget int64, spillDir string, opts ...Option) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -115,8 +92,6 @@ func New(workers int, memBudget int64, spillDir string, opts ...Option) *Engine 
 		budget:   memBudget,
 		spillDir: spillDir,
 		fs:       fsx.OS,
-		verify:   true,
-		batch:    true,
 		sem:      make(chan struct{}, workers),
 		traces:   map[string]*Trace{},
 	}
@@ -155,9 +130,8 @@ func (e *Engine) SetObserver(o *obs.Observer) {
 	e.obsChunkDecode = o.Histogram(obs.MReplayChunkDecode)
 }
 
-// Key names the shared capture of one (workload, input) pair. The harness
-// and Sweep use the same key space, so a mixed pipeline still captures each
-// pair exactly once.
+// Key names the shared capture of one (workload, input) pair, so every
+// caller sharing an engine captures each pair exactly once.
 func Key(workload, input string) string { return workload + "\x00" + input }
 
 // ErrClosed is returned by Run on an engine whose Close has been called.
@@ -272,7 +246,7 @@ func (s Source) String() string {
 // rebuild and replay the recapture from the start, so a recorder must
 // never carry state across attempts. Run returns the stream totals and
 // the error of this arm alone; panics from the arm's recorder propagate
-// (callers isolate them — the harness with its guard, Sweep per arm).
+// (callers isolate them, as the harness does with its guard).
 func (e *Engine) Run(ctx context.Context, key string, produce func(trace.Recorder) error, newRec func() (trace.Recorder, error)) (trace.Counts, error) {
 	c, _, err := e.RunSourced(ctx, key, produce, newRec)
 	return c, err
@@ -296,10 +270,10 @@ func (e *Engine) RunSourced(ctx context.Context, key string, produce func(trace.
 			return trace.Counts{}, SourceReplay, err
 		}
 		if capturer {
-			// In batch mode a block-consuming arm is fed each chunk's
-			// decoded arrays as the chunk seals: the instrumented execution
-			// pays only array appends and the arm runs block-wise.
-			// Provenance stays SourceCapture: this arm executed the workload.
+			// The arm is fed each chunk's decoded arrays as the chunk
+			// seals: the instrumented execution pays only array appends
+			// and the arm runs block-wise. Provenance stays SourceCapture:
+			// this arm executed the workload.
 			c, err := t.capture(produce, rec)
 			if err == nil {
 				e.obsCaptures.Add(1)
@@ -318,78 +292,4 @@ func (e *Engine) RunSourced(ctx context.Context, key string, produce func(trace.
 		}
 		return c, SourceReplay, err
 	}
-}
-
-// runGuarded is Run with the pipeline's panic isolation: a cooperative
-// cancellation Stop becomes its error, any other panic a PanicError.
-func (e *Engine) runGuarded(ctx context.Context, key string, produce func(trace.Recorder) error, newRec func() (trace.Recorder, error)) (c trace.Counts, err error) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if stopErr, ok := trace.AsStop(r); ok {
-			err = stopErr
-			return
-		}
-		err = &workload.PanicError{Value: r, Stack: debug.Stack()}
-	}()
-	return e.Run(ctx, key, produce, newRec)
-}
-
-// Arm is one predictor configuration swept over a shared capture.
-type Arm struct {
-	// Label identifies the arm in its Result.
-	Label string
-	// New builds the arm's recorder, typically a *sim.Runner. It is
-	// called again if the arm must restart after a failed shared capture,
-	// so it must return a fresh recorder with no carried-over state.
-	New func() (trace.Recorder, error)
-}
-
-// Result is one arm's outcome.
-type Result struct {
-	Label string
-	// Rec is the recorder that consumed the complete stream (nil when New
-	// failed); cast it back to read the arm's metrics.
-	Rec trace.Recorder
-	// Counts totals the stream the arm consumed.
-	Counts trace.Counts
-	// Err is the arm's failure: its own panic (as a *workload.PanicError),
-	// the workload's error, or the context's.
-	Err error
-}
-
-// Sweep runs prog on input — once — and feeds every arm from the shared
-// capture, concurrently, overlapping the capture itself. One arm drives
-// the instrumented execution while it simulates; the rest replay. A
-// panicking arm fails alone: its Result carries the panic as an error, and
-// if it was the capturer, the surviving arms transparently recapture.
-func (e *Engine) Sweep(ctx context.Context, prog workload.Program, input string, arms []Arm) []Result {
-	produce := func(r trace.Recorder) error {
-		return workload.RunProgram(ctx, prog, input, r)
-	}
-	key := Key(prog.Name(), input)
-	results := make([]Result, len(arms))
-	var wg sync.WaitGroup
-	for i := range arms {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			a := arms[i]
-			var rec trace.Recorder
-			newRec := func() (trace.Recorder, error) {
-				r, err := a.New()
-				if err != nil {
-					return nil, fmt.Errorf("replay: building arm %q: %w", a.Label, err)
-				}
-				rec = r
-				return r, nil
-			}
-			c, err := e.runGuarded(ctx, key, produce, newRec)
-			results[i] = Result{Label: a.Label, Rec: rec, Counts: c, Err: err}
-		}(i)
-	}
-	wg.Wait()
-	return results
 }

@@ -21,7 +21,7 @@
 // itself a valid trace file for trace.NewReader.
 //
 // Durability is policy, not best-effort: every encoded chunk carries the
-// CRC32C taken when it was encoded, verified (by default) on every replay.
+// CRC32C taken when it was encoded, verified on every replay and export.
 // A chunk that fails verification — or fails structurally during decode —
 // is never partially trusted: the engine quarantines the evidence, drops
 // the trace, and the waiting arms transparently recapture the stream from
@@ -74,10 +74,10 @@ type chunk struct {
 
 // decoded is one chunk's event stream as parallel arrays, filled by the
 // capture as events arrive. It is the in-memory form of every chunk that
-// fits the engine's memory budget: replay cursors feed it to block sinks
-// whole and to event-only recorders per event. A chunk that does not fit is
-// encoded as it seals (seal), and an exported one as it is written
-// (WriteTo). Once sealed, the arrays are shared and read-only.
+// fits the engine's memory budget: replay cursors feed it to their
+// recorders whole. A chunk that does not fit is encoded as it seals (seal),
+// and an exported one as it is written (WriteTo). Once sealed, the arrays
+// are shared and read-only.
 type decoded struct {
 	pcs    []uint64
 	taken  []bool
@@ -107,24 +107,10 @@ func (d *decoded) feed(sink trace.BlockSink) {
 	}
 }
 
-// events replays the decoded chunk into an event-only recorder: the calls
-// trace.DecodeChunk makes on the chunk's encoding, in the same order.
-func (d *decoded) events(rec trace.Recorder) {
-	for i, pc := range d.pcs {
-		if o := d.ops[i]; o != 0 {
-			rec.Ops(o)
-		}
-		rec.Branch(pc, d.taken[i])
-	}
-	if d.tail > 0 {
-		rec.Ops(d.tail)
-	}
-}
-
 // encode returns the chunk as self-contained trace records: the bytes w
 // writes when fed the chunk's events one by one and cut.
 func (d *decoded) encode(w *trace.ChunkWriter) []byte {
-	d.events(w)
+	d.feed(trace.Blocks(w))
 	return w.Cut()
 }
 
@@ -166,12 +152,11 @@ func (t *Trace) broadcastLocked() {
 
 // captureRec is the Recorder the capture drives: it appends every event
 // straight to the open chunk's decoded arrays and seals the chunk each
-// chunkEvents branches. On the batch path (sink set) each sealed chunk is
-// then fed to the capturing arm.
+// chunkEvents branches. Each sealed chunk is then fed to the capturing arm.
 type captureRec struct {
 	t       *Trace
 	counts  trace.Counts    // totals of the chunks sealed so far
-	sink    trace.BlockSink // the capturing arm; nil on the tee path
+	sink    trace.BlockSink // the capturing arm
 	dec     decoded         // the open chunk
 	pending uint64          // straight-line run awaiting its branch
 }
@@ -208,15 +193,13 @@ func (c *captureRec) Branch(pc uint64, taken bool) {
 // Ops implements trace.Recorder.
 func (c *captureRec) Ops(n uint64) { c.pending += n }
 
-// cut seals the full open chunk and opens the next; on the batch path the
-// sealed chunk then goes to the capturing arm.
+// cut seals the full open chunk and opens the next; the sealed chunk then
+// goes to the capturing arm.
 func (c *captureRec) cut() {
 	d := c.take()
 	c.open()
 	c.t.seal(d)
-	if c.sink != nil {
-		d.feed(c.sink)
-	}
+	d.feed(c.sink)
 }
 
 // take detaches the open chunk, stamped with the trailing straight-line run,
@@ -310,10 +293,10 @@ func (t *Trace) writeSpill(data []byte, crc uint32) (int64, error) {
 	return off, nil
 }
 
-// finish seals the final chunk and marks the capture complete. On the batch
-// path the final chunk reaches the capturing arm only after the trace is
-// published complete, so a panic there (e.g. cooperative cancellation)
-// fails that arm alone, not the shared capture.
+// finish seals the final chunk and marks the capture complete. The final
+// chunk reaches the capturing arm only after the trace is published
+// complete, so a panic there (e.g. cooperative cancellation) fails that arm
+// alone, not the shared capture.
 func (t *Trace) finish(cr *captureRec) {
 	d := cr.take()
 	// The last chunk is partial: copy it out of its full-size arrays.
@@ -325,9 +308,7 @@ func (t *Trace) finish(cr *captureRec) {
 	t.captureEndedLocked()
 	t.broadcastLocked()
 	t.mu.Unlock()
-	if cr.sink != nil {
-		d.feed(cr.sink)
-	}
+	d.feed(cr.sink)
 }
 
 // fail marks the capture failed, wakes every waiter with the wrapped cause,
@@ -401,19 +382,12 @@ func (t *Trace) quarantine(i int, data []byte, crc uint32, cause error) {
 }
 
 // capture runs produce once, recording its stream into sealed chunks and
-// feeding it to the capturing arm's own recorder, so the capturer simulates
-// while it records. A block-consuming recorder in batch mode is fed each
-// chunk's decoded arrays as the chunk seals; any other recorder gets the
-// events through a per-event tee. On any failure, including a panic
-// unwinding through produce, the trace is failed first so no waiter hangs.
+// feeding each chunk's decoded arrays to the capturing arm's own recorder
+// as the chunk seals, so the capturer simulates while it records. On any
+// failure, including a panic unwinding through produce, the trace is
+// failed first so no waiter hangs.
 func (t *Trace) capture(produce func(trace.Recorder) error, rec trace.Recorder) (c trace.Counts, err error) {
-	cr := newCaptureRec(t, nil)
-	var target trace.Recorder = cr
-	if sink, ok := rec.(trace.BlockSink); ok && t.e.batch {
-		cr.sink = sink
-	} else {
-		target = trace.Tee(cr, rec)
-	}
+	cr := newCaptureRec(t, trace.Blocks(rec))
 	t.mu.Lock()
 	t.capturing = true
 	t.mu.Unlock()
@@ -429,7 +403,7 @@ func (t *Trace) capture(produce func(trace.Recorder) error, rec trace.Recorder) 
 		t.finish(cr)
 		c = cr.counts
 	}()
-	return trace.Counts{}, produce(target)
+	return trace.Counts{}, produce(cr)
 }
 
 // retain registers a replay cursor; the spill file stays alive until every
@@ -564,11 +538,7 @@ func (t *Trace) Replay(ctx context.Context, rec trace.Recorder) (c trace.Counts,
 			panic(r)
 		}
 	}()
-	// Feed block-capable recorders whole blocks: same events, same order,
-	// no per-event dispatch. The engine's batch switch is the -no-batch
-	// escape hatch back to per-event delivery.
-	sink, blocks := rec.(trace.BlockSink)
-	blocks = blocks && t.e.batch
+	sink := trace.Blocks(rec)
 	var bbuf trace.BlockBuf
 	var buf []byte
 	for i := 0; ; i++ {
@@ -587,29 +557,17 @@ func (t *Trace) Replay(ctx context.Context, rec trace.Recorder) (c trace.Counts,
 		if dec != nil {
 			// A decoded chunk never left memory: there is nothing to
 			// decode and nothing for verification to catch.
-			if blocks {
-				dec.feed(sink)
-			} else {
-				dec.events(rec)
-			}
+			dec.feed(sink)
 		} else {
-			if t.e.verify {
-				if verr := trace.Verify(data, crc); verr != nil {
-					t.quarantine(i, data, crc, verr)
-					return trace.Counts{}, t.failCorrupt(verr)
-				}
+			if verr := trace.Verify(data, crc); verr != nil {
+				t.quarantine(i, data, crc, verr)
+				return trace.Counts{}, t.failCorrupt(verr)
 			}
 			d0 := time.Now()
-			var err error
-			if blocks {
-				err = trace.DecodeChunkBlocks(data, sink, &bbuf)
-			} else {
-				err = trace.DecodeChunk(data, rec)
-			}
-			if err != nil {
+			if err := trace.DecodeChunkBlocks(data, sink, &bbuf); err != nil {
 				if errors.Is(err, trace.ErrCorrupt) {
-					// The checksum passed (or was skipped) but the records
-					// no longer parse: same corruption policy, same recovery.
+					// The checksum passed but the records no longer
+					// parse: same corruption policy, same recovery.
 					t.quarantine(i, data, crc, err)
 					return trace.Counts{}, t.failCorrupt(err)
 				}
@@ -630,9 +588,9 @@ func (t *Trace) Replay(ctx context.Context, rec trace.Recorder) (c trace.Counts,
 // WriteTo exports the captured stream as a version-3 (checksummed framed
 // chunk) trace file readable by trace.NewReader, waiting for the capture to
 // finish if it is still running. Decoded chunks are encoded and checksummed
-// here; encoded ones are verified before export when the engine verifies,
-// so a corrupt spill surfaces here as an error, never as a silently
-// poisoned file. It implements io.WriterTo.
+// here; encoded ones are verified before export, so a corrupt spill
+// surfaces here as an error, never as a silently poisoned file. It
+// implements io.WriterTo.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	t.retain()
 	defer t.release()
@@ -655,10 +613,8 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 		if dec != nil {
 			data = dec.encode(&cw)
 			crc = trace.Checksum(data)
-		} else if t.e.verify {
-			if verr := trace.Verify(data, crc); verr != nil {
-				return n, verr
-			}
+		} else if verr := trace.Verify(data, crc); verr != nil {
+			return n, verr
 		}
 		hdr = trace.AppendFrameHeader(hdr[:0], len(data), crc)
 		k, err := w.Write(hdr)

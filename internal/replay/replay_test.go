@@ -45,6 +45,44 @@ func newArmRunner(t *testing.T, spec, wl, input string) *sim.Runner {
 	return sim.NewRunner(p, sim.WithCollisions(), sim.WithLabels(wl, input))
 }
 
+// eventOnly hides a runner's block methods, so the engine can reach it
+// only through trace.Blocks' per-event unrolling.
+type eventOnly struct{ r *sim.Runner }
+
+func (e eventOnly) Branch(pc uint64, taken bool) { e.r.Branch(pc, taken) }
+func (e eventOnly) Ops(n uint64)                 { e.r.Ops(n) }
+
+// sweepMetrics runs specs over wl's test input as one sweep on a fresh
+// engine, wrapping each arm's runner with wrap, and returns each arm's
+// metrics and stream counts in spec order.
+func sweepMetrics(t *testing.T, wl string, specs []string, wrap func(*sim.Runner) trace.Recorder) ([]sim.Metrics, []trace.Counts) {
+	t.Helper()
+	prog, err := workload.Get(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := replay.New(4, 0, "")
+	defer e.Close()
+	runners := make([]*sim.Runner, len(specs))
+	arms := make([]arm, len(specs))
+	for i, spec := range specs {
+		i, spec := i, spec
+		arms[i] = arm{Label: spec, New: func() (trace.Recorder, error) {
+			runners[i] = newArmRunner(t, spec, wl, workload.InputTest)
+			return wrap(runners[i]), nil
+		}}
+	}
+	metrics := make([]sim.Metrics, len(specs))
+	counts := make([]trace.Counts, len(specs))
+	for i, res := range sweep(context.Background(), e, prog, workload.InputTest, arms) {
+		if res.Err != nil {
+			t.Fatalf("%s: replay arm failed: %v", res.Label, res.Err)
+		}
+		metrics[i], counts[i] = runners[i].Metrics(), res.Counts
+	}
+	return metrics, counts
+}
+
 // TestEquivalenceDirectVsReplay is the differential check at the heart of
 // the engine's contract: for every workload in the paper suite and every
 // predictor, a replayed run must produce bit-identical sim.Metrics —
@@ -56,39 +94,43 @@ func TestEquivalenceDirectVsReplay(t *testing.T) {
 	for _, wl := range experiment.Suite {
 		wl := wl
 		t.Run(wl, func(t *testing.T) {
-			direct := make([]sim.Metrics, len(specs))
+			got, counts := sweepMetrics(t, wl, specs, func(r *sim.Runner) trace.Recorder { return r })
 			for i, spec := range specs {
 				r := newArmRunner(t, spec, wl, workload.InputTest)
 				if err := workload.Run(ctx, wl, workload.InputTest, r); err != nil {
 					t.Fatalf("direct %s: %v", spec, err)
 				}
-				direct[i] = r.Metrics()
+				direct := r.Metrics()
+				if d := direct.Diff(got[i]); d != "" {
+					t.Errorf("%s: replay metrics diverge from direct run: %s", spec, d)
+				}
+				if counts[i] != direct.Counts {
+					t.Errorf("%s: stream counts %+v, want %+v", spec, counts[i], direct.Counts)
+				}
 			}
+		})
+	}
+}
 
-			prog, err := workload.Get(wl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := replay.New(4, 0, "")
-			defer e.Close()
-			arms := make([]replay.Arm, len(specs))
+// TestSweepNoBatchMatchesBatch pins the per-event path to the block path:
+// a sweep whose arms hide their block methods, so the engine reaches them
+// only through trace.Blocks' per-event unrolling on the capturing arm and
+// the replaying ones alike, must produce bit-identical sim.Metrics and
+// stream counts to the sweep that feeds the runners whole blocks, arm by
+// arm, for every workload in the suite.
+func TestSweepNoBatchMatchesBatch(t *testing.T) {
+	specs := equivalencePredictors()
+	for _, wl := range experiment.Suite {
+		wl := wl
+		t.Run(wl, func(t *testing.T) {
+			on, onCounts := sweepMetrics(t, wl, specs, func(r *sim.Runner) trace.Recorder { return r })
+			off, offCounts := sweepMetrics(t, wl, specs, func(r *sim.Runner) trace.Recorder { return eventOnly{r} })
 			for i, spec := range specs {
-				spec := spec
-				arms[i] = replay.Arm{Label: spec, New: func() (trace.Recorder, error) {
-					return newArmRunner(t, spec, wl, workload.InputTest), nil
-				}}
-			}
-			for i, res := range e.Sweep(ctx, prog, workload.InputTest, arms) {
-				if res.Err != nil {
-					t.Errorf("%s: replay arm failed: %v", res.Label, res.Err)
-					continue
+				if d := off[i].Diff(on[i]); d != "" {
+					t.Errorf("%s: block sweep diverges from per-event sweep: %s", spec, d)
 				}
-				got := res.Rec.(*sim.Runner).Metrics()
-				if d := direct[i].Diff(got); d != "" {
-					t.Errorf("%s: replay metrics diverge from direct run: %s", res.Label, d)
-				}
-				if res.Counts != direct[i].Counts {
-					t.Errorf("%s: stream counts %+v, want %+v", res.Label, res.Counts, direct[i].Counts)
+				if offCounts[i] != onCounts[i] {
+					t.Errorf("%s: per-event stream counts %+v, want %+v", spec, offCounts[i], onCounts[i])
 				}
 			}
 		})
@@ -143,45 +185,6 @@ func sameStream(t *testing.T, label string, got, want *trace.Buffer) {
 // TestCaptureOnce proves the singleflight contract: many concurrent arms on
 // one key execute the workload exactly once and all observe the identical
 // stream.
-// TestSweepNoBatchMatchesBatch pins the -no-batch escape hatch to the
-// default path: a sweep with the batched kernel disabled must produce
-// bit-identical sim.Metrics and stream counts to the batched sweep, arm by
-// arm, across both the devirtualized predictors and the scalar-fallback
-// ones.
-func TestSweepNoBatchMatchesBatch(t *testing.T) {
-	ctx := context.Background()
-	specs := equivalencePredictors()
-	prog, err := workload.Get("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(batch bool) []sim.Metrics {
-		e := replay.New(2, 0, "", replay.WithBatch(batch))
-		defer e.Close()
-		arms := make([]replay.Arm, len(specs))
-		for i, spec := range specs {
-			spec := spec
-			arms[i] = replay.Arm{Label: spec, New: func() (trace.Recorder, error) {
-				return newArmRunner(t, spec, "compress", workload.InputTest), nil
-			}}
-		}
-		out := make([]sim.Metrics, len(specs))
-		for i, res := range e.Sweep(ctx, prog, workload.InputTest, arms) {
-			if res.Err != nil {
-				t.Fatalf("batch=%v %s: %v", batch, res.Label, res.Err)
-			}
-			out[i] = res.Rec.(*sim.Runner).Metrics()
-		}
-		return out
-	}
-	on, off := run(true), run(false)
-	for i, spec := range specs {
-		if d := off[i].Diff(on[i]); d != "" {
-			t.Errorf("%s: batch sweep diverges from -no-batch sweep: %s", spec, d)
-		}
-	}
-}
-
 func TestCaptureOnce(t *testing.T) {
 	e := replay.New(4, 0, "")
 	defer e.Close()
@@ -266,12 +269,12 @@ func TestSpillToDisk(t *testing.T) {
 	}
 }
 
-// TestTeeCaptureSpills bounds a capture that feeds an event-only recorder
-// through the per-event tee, as bptrace record does: under a memory budget
+// TestEventCaptureSpills bounds a capture whose arm takes events alone
+// (fed through trace.Blocks), as bptrace record's is: under a memory budget
 // smaller than the decoded stream, chunks past it are encoded and spilled,
 // memory stays within the budget, and the capturing arm, a replaying arm
 // and an export all see the whole stream.
-func TestTeeCaptureSpills(t *testing.T) {
+func TestEventCaptureSpills(t *testing.T) {
 	dir := t.TempDir()
 	const budget = 1 << 20
 	e := replay.New(2, budget, dir)
@@ -435,7 +438,7 @@ func TestPanicArmFailsAlone(t *testing.T) {
 	}
 	e := replay.New(4, 0, "")
 	defer e.Close()
-	arms := []replay.Arm{
+	arms := []arm{
 		{Label: "faulty", New: func() (trace.Recorder, error) {
 			inner, err := predictor.New("gshare:8KB")
 			if err != nil {
@@ -453,7 +456,7 @@ func TestPanicArmFailsAlone(t *testing.T) {
 			return newArmRunner(t, specs[1], wl, input), nil
 		}},
 	}
-	results := e.Sweep(ctx, prog, input, arms)
+	results := sweep(ctx, e, prog, input, arms)
 
 	var pe *workload.PanicError
 	if !errors.As(results[0].Err, &pe) {

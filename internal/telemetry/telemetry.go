@@ -60,7 +60,8 @@ type Config struct {
 	TopK int
 	// SiteCap bounds the per-branch site table (0 means DefaultSiteCap). The
 	// cap trades per-branch histogram completeness for bounded memory;
-	// branches beyond it are counted in SitesDropped.
+	// branches beyond it are counted in SitesDropped. They still rank in
+	// the top-K lists, with no site profile (Execs 0).
 	SiteCap int
 }
 
@@ -271,11 +272,13 @@ func (c *Collector) Branch(pc uint64, taken, correct, collided bool, conf predic
 			}
 			if !correct {
 				s.misp++
-				c.topMisp.Add(pc)
 			}
 			if low {
 				s.lowconf++
 			}
+		}
+		if !correct {
+			c.topMisp.Add(pc)
 		}
 		if destructive {
 			c.topDest.Add(pc)
@@ -364,8 +367,10 @@ func (c *Collector) Block(pcs []uint64, taken []bool, straight uint64, m *predic
 				s.taken += pcslot.Bit(taken[i])
 				if !correct[i] {
 					s.misp++
-					c.topMisp.Add(pc)
 				}
+			}
+			if !correct[i] {
+				c.topMisp.Add(pc)
 			}
 			if c.tracked && collided[i] && !correct[i] {
 				c.topDest.Add(pc)
@@ -381,8 +386,8 @@ func (c *Collector) Block(pcs []uint64, taken []bool, straight uint64, m *predic
 // interval boundaries seals exactly at each boundary — the records are the
 // same as if the run were charged one instruction at a time, so seal points
 // cannot depend on how the recording pipeline batches straight-line runs
-// (the raw workload stream, the capture tee, decoded chunks and the block
-// kernels all coalesce Ops differently). Safe on nil.
+// (the raw workload stream, decoded chunks and the block kernels all
+// coalesce Ops differently). Safe on nil.
 func (c *Collector) Ops(n uint64) {
 	if c == nil {
 		return

@@ -213,6 +213,63 @@ func TestTopKAndHistograms(t *testing.T) {
 	}
 }
 
+// TestTopMispredictedPastSiteCap checks that the top-mispredicted list
+// ranks every branch, not only the SiteCap sites the tracker profiles: the
+// worst offender, first seen after the cap, heads it with no site profile
+// (Execs 0), whether the events arrive through Branch or through Block.
+func TestTopMispredictedPastSiteCap(t *testing.T) {
+	const worst = 0x1000 + 12*4
+	pcs := make([]uint64, 4000)
+	taken := make([]bool, len(pcs))
+	correct := make([]bool, len(pcs))
+	collided := make([]bool, len(pcs))
+	var misp uint64
+	for i := range pcs {
+		pcs[i] = 0x1000 + uint64(i%16)*4 // 16 sites, first seen in order
+		taken[i] = true
+		// Three tracked sites mispredict one time in five and the worst
+		// always: no more mispredicting keys than the sketch holds (TopK),
+		// so every count is exact.
+		correct[i] = pcs[i] != worst && (i%16 >= 3 || i%5 != 0)
+		if !correct[i] {
+			misp++
+		}
+	}
+	feeds := map[string]func(c *Collector){
+		"Branch": func(c *Collector) {
+			for i, pc := range pcs {
+				c.Branch(pc, taken[i], correct[i], false, predictor.Confidence{})
+			}
+		},
+		"Block": func(c *Collector) {
+			c.Block(pcs, taken, 0, &predictor.BlockMetrics{
+				Mispredicts: misp, TakenCount: uint64(len(pcs)),
+				Correct: correct, Collided: collided,
+			})
+		},
+	}
+	for name, feed := range feeds {
+		c := New(Config{Interval: 1 << 20, TopK: 4, SiteCap: 8}, nil)
+		c.Bind(predictor.NewBimodal(64), "w", "i", "p", true)
+		feed(c)
+		rec := c.Finish().TopK
+		if rec == nil {
+			t.Fatalf("%s: no topk record", name)
+		}
+		if rec.Sites != 8 {
+			t.Errorf("%s: sites = %d, want 8 (capped)", name, rec.Sites)
+		}
+		if len(rec.TopMispredicted) == 0 {
+			t.Fatalf("%s: empty top-mispredicted list", name)
+		}
+		first := rec.TopMispredicted[0]
+		if first.PC != worst || first.Count != uint64(len(pcs)/16) || first.Execs != 0 {
+			t.Errorf("%s: top mispredicted starts %+v, want pc %#x with count %d and execs 0",
+				name, first, worst, len(pcs)/16)
+		}
+	}
+}
+
 func TestRateBucket(t *testing.T) {
 	cases := []struct {
 		f    float64
@@ -235,8 +292,8 @@ func TestRateBucket(t *testing.T) {
 // TestBulkOpsSealsPerBoundary pins the canonical seal rule: a straight-line
 // run seals exactly at every interval boundary it crosses, as if charged one
 // instruction at a time. This is what makes journals independent of how the
-// recording pipeline batches Ops (raw workload stream vs capture tee vs
-// decoded chunks vs block kernels coalesce the same gap differently).
+// recording pipeline batches Ops (raw workload stream vs decoded chunks vs
+// block kernels coalesce the same gap differently).
 func TestBulkOpsSealsPerBoundary(t *testing.T) {
 	run := func(charge func(c *Collector)) Records {
 		c := New(Config{Interval: 100}, nil)

@@ -33,6 +33,31 @@ type SummedBlockSink interface {
 	RunBlockSummed(pcs []uint64, taken []bool, ops []uint64, opsSum uint64)
 }
 
+// Blocks adapts rec to the BlockSink interface, so a feeder that delivers
+// whole blocks can drive any recorder. A recorder that already consumes
+// blocks is returned unchanged; any other gets each block unrolled into
+// the Recorder calls that carry the same stream: Ops(ops[i]) when it is
+// nonzero, then Branch(pcs[i], taken[i]).
+func Blocks(rec Recorder) BlockSink {
+	if sink, ok := rec.(BlockSink); ok {
+		return sink
+	}
+	return eventSink{rec}
+}
+
+// eventSink is the BlockSink Blocks wraps around an event-only recorder.
+type eventSink struct{ Recorder }
+
+// RunBlock implements BlockSink.
+func (s eventSink) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
+	for i, pc := range pcs {
+		if o := ops[i]; o != 0 {
+			s.Recorder.Ops(o)
+		}
+		s.Recorder.Branch(pc, taken[i])
+	}
+}
+
 // DefaultBlockEvents is the block capacity DecodeChunkBlocks uses for a
 // zero BlockBuf: large enough to amortize per-block overhead, small enough
 // that the three event arrays stay cache-resident (~68KB).

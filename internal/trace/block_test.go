@@ -183,17 +183,18 @@ func TestDecodeChunkBlocksMalformed(t *testing.T) {
 	}
 }
 
-// TestBatcherEncodesIdentically is the round-trip identity for the
-// Recorder→BlockSink adapter: recording a stream through a Batcher whose
-// sink re-expands blocks into a second ChunkWriter must produce the exact
-// bytes of recording into a ChunkWriter directly — the strongest possible
-// statement that batching preserves the stream.
+// TestBatcherEncodesIdentically is the round-trip identity for the two
+// adapters between Recorder and BlockSink: recording a stream through a
+// Batcher whose sink is Blocks over a second ChunkWriter, which unrolls
+// each block back into events, must produce the exact bytes of recording
+// into a ChunkWriter directly — the strongest possible statement that
+// batching and unrolling preserve the stream.
 func TestBatcherEncodesIdentically(t *testing.T) {
 	for si, in := range blockTestStreams() {
 		want := encodeEvents(in)
 		for _, blockEvents := range []int{1, 3, 64, 0} {
 			var rw ChunkWriter
-			b := NewBatcher(expandSink{&rw}, blockEvents)
+			b := NewBatcher(Blocks(&rw), blockEvents)
 			for _, e := range in {
 				if e.br {
 					b.Branch(e.pc, e.taken)
@@ -216,19 +217,20 @@ func TestBatcherEncodesIdentically(t *testing.T) {
 	}
 }
 
-// expandSink replays blocks back into a Recorder, event by event.
-type expandSink struct{ rec Recorder }
+// blockRecorder is a Recorder that also takes blocks; its Branch must
+// never be reached through Blocks.
+type blockRecorder struct{ flatSink }
 
-func (s expandSink) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
-	for i, pc := range pcs {
-		if ops[i] != 0 {
-			s.rec.Ops(ops[i])
-		}
-		s.rec.Branch(pc, taken[i])
+func (*blockRecorder) Branch(uint64, bool) { panic("Branch called on a block sink") }
+
+// TestBlocksKeepsBlockSinks checks that Blocks hands a recorder that
+// already takes blocks back unchanged, so it is never fed per event.
+func TestBlocksKeepsBlockSinks(t *testing.T) {
+	r := &blockRecorder{}
+	if got := Blocks(r); got != BlockSink(r) {
+		t.Fatalf("Blocks wrapped a BlockSink: got %T", got)
 	}
 }
-
-func (s expandSink) Ops(n uint64) { s.rec.Ops(n) }
 
 // TestBatcherBlockBoundaries pins the delivery geometry: a capacity-k
 // Batcher delivers full blocks of exactly k events as soon as the k-th

@@ -347,7 +347,7 @@ func FuzzDecodeFramedChunk(f *testing.F) {
 
 		// Pristine decode reproduces the stream.
 		var got eventLog
-		if err := DecodeFramedChunk(frame, &got); err != nil {
+		if err := decodeFramedChunk(frame, &got); err != nil {
 			t.Fatalf("pristine frame: %v", err)
 		}
 		want := &eventLog{events: in}
@@ -371,7 +371,7 @@ func FuzzDecodeFramedChunk(f *testing.F) {
 		mutated := append([]byte(nil), frame...)
 		mutated[bit/8] ^= 1 << (bit % 8)
 		var rec Counts
-		if err := DecodeFramedChunk(mutated, &rec); !errors.Is(err, ErrCorrupt) {
+		if err := decodeFramedChunk(mutated, &rec); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("bit flip at %d: err = %v, want ErrCorrupt", bit, err)
 		}
 	})

@@ -101,19 +101,3 @@ func Verify(payload []byte, crc uint32) error {
 	}
 	return nil
 }
-
-// DecodeFramedChunk verifies one frame and replays its chunk payload into
-// rec. Corruption — of the frame or of the records inside it — returns an
-// error wrapping ErrCorrupt before rec sees a single event of the bad
-// chunk; trailing bytes after the frame are rejected too, so a framed
-// chunk either replays whole or not at all.
-func DecodeFramedChunk(data []byte, rec Recorder) error {
-	payload, rest, err := DecodeFrame(data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after frame", ErrCorrupt, len(rest))
-	}
-	return DecodeChunk(payload, rec)
-}

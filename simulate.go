@@ -23,7 +23,6 @@ type simConfig struct {
 	pred       Predictor
 	predSpec   string
 	collisions bool
-	noBatch    bool
 	profile    *ProfileDB
 	obs        *obs.Observer
 	telemetry  telemetry.Config
@@ -57,16 +56,6 @@ func WithPredictorSpec(spec string) SimOption {
 // predictor supports it (see the Collider interface).
 func WithCollisions() SimOption {
 	return func(c *simConfig) { c.collisions = true }
-}
-
-// WithBatch toggles the batched simulation route (the default is on). When
-// the predictor has a devirtualized block kernel, Simulate records the
-// workload's branch stream into in-memory chunks and feeds it back through
-// the block decoder, instead of fusing per-event prediction into the
-// instrumented execution. Results are bit-identical either way; off is the
-// -no-batch escape hatch and the scalar baseline for benchmarks.
-func WithBatch(on bool) SimOption {
-	return func(c *simConfig) { c.noBatch = !on }
 }
 
 // WithProfileInto collects per-branch statistics into db during the run
@@ -170,7 +159,7 @@ func (cfg *simConfig) simulate(ctx context.Context, pred Predictor, span *obs.Sp
 	}
 	runner := sim.NewRunner(pred, sopts...)
 	end := span.Phase(obs.PhaseSimulate)
-	if !cfg.noBatch && runner.BatchKernel() {
+	if runner.BatchKernel() {
 		err = runBatched(ctx, prog, cfg.input, runner)
 	} else {
 		err = workload.RunProgram(ctx, prog, cfg.input, runner)
