@@ -152,7 +152,7 @@ func (h *Harness) feed(ctx context.Context, span *obs.Span, wl, input string, ne
 		return err
 	}
 	phase := obs.PhaseSimulate
-	defer func(t0 time.Time) { span.AddPhase(phase, time.Since(t0)) }(time.Now())
+	defer func(t0 time.Time) { span.AddPhase(phase, t0, time.Since(t0)) }(time.Now())
 	if h.Replay == nil {
 		rec, err := newRec()
 		if err != nil {
@@ -164,9 +164,7 @@ func (h *Harness) feed(ctx context.Context, span *obs.Span, wl, input string, ne
 	produce := func(r trace.Recorder) error {
 		// produce runs only in the capturing arm's goroutine: this arm is
 		// the one recording the shared stream.
-		if ts := span.Trace(); ts != nil {
-			h.obs.NoteSpanKey(capKey, ts.Context())
-		}
+		h.obs.NoteSpanKey(capKey, span.Context())
 		return workload.RunProgram(ctx, prog, input, r)
 	}
 	_, src, err := h.Replay.RunSourced(ctx, replay.Key(prog.Name(), input), produce, newRec)
@@ -176,7 +174,7 @@ func (h *Harness) feed(ctx context.Context, span *obs.Span, wl, input string, ne
 	}
 	phase = obs.PhaseReplay
 	if sc, ok := h.obs.SpanForKey(capKey); ok {
-		span.Trace().Link(sc, "capture")
+		span.Link(sc, "capture")
 	}
 	return err
 }

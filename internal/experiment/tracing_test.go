@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,5 +215,135 @@ func TestTracingOverheadGuard(t *testing.T) {
 	if ratio > 1.05 {
 		t.Errorf("disabled-tracing sweep is %.3fx the observer-free sweep (%v vs %v per arm); want <= 1.05x",
 			ratio, disabled, bare)
+	}
+}
+
+// TestArmPhaseViewsAgree checks the three views that Span.End derives from
+// an arm's one phase list: the journal's ArmRecord.Phases, the arm's live
+// span frame and the experiment.phase.* histograms. A staticacc grid with
+// a checkpoint directory gives profile arms their bias, baseline and
+// checkpoint phases, and run arms their select, stream, seal and
+// checkpoint phases. Checked sequentially and with eight arms at once.
+func TestArmPhaseViewsAgree(t *testing.T) {
+	hists := map[obs.Phase]string{
+		obs.PhaseCapture: obs.MPhaseCapture, obs.PhaseReplay: obs.MPhaseReplay,
+		obs.PhaseSimulate: obs.MPhaseSimulate, obs.PhaseSelect: obs.MPhaseSelect,
+		obs.PhaseCheckpoint: obs.MPhaseCheckpoint, obs.PhaseSeal: obs.MPhaseSeal,
+	}
+	var arms []Arm
+	for _, wl := range []string{"compress", "li"} {
+		for _, pred := range []string{"gshare:1KB", "bimodal:1KB"} {
+			for _, scheme := range []string{"none", "staticacc"} {
+				arms = append(arms, Arm{Workload: wl, Pred: pred, Scheme: scheme})
+			}
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ck, err := OpenCheckpoint(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			sink := obs.New(obs.WithJournal(obs.NewJournal(&buf)), obs.WithTracing())
+			sub := sink.Subscribe(1 << 14)
+			var frames []*obs.SpanRecord
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				for line := range sub.C() {
+					if rec, err := obs.DecodeRecord(line); err == nil {
+						if s, ok := rec.(*obs.SpanRecord); ok {
+							frames = append(frames, s)
+						}
+					}
+				}
+			}()
+			h := NewQuickHarness(WithObserver(sink), WithWorkers(workers), WithCheckpoint(ck))
+			errs := make([]error, len(arms))
+			var wg sync.WaitGroup
+			for i, a := range arms {
+				run := func(i int, a Arm) {
+					defer wg.Done()
+					_, errs[i] = h.Run(context.Background(), a)
+				}
+				wg.Add(1)
+				if workers == 1 {
+					run(i, a)
+				} else {
+					go run(i, a)
+				}
+			}
+			wg.Wait()
+			h.Close()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			<-drained
+			if n := sink.Counter(obs.MBusDropped).Value(); n != 0 {
+				t.Fatalf("bus dropped %d frames; the span views cannot be compared", n)
+			}
+			recs, err := obs.ReadRecords(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			frameOf := map[string]*obs.SpanRecord{}
+			for _, f := range frames {
+				if f.Name == "run" || f.Name == "profile" {
+					if frameOf[f.Name+"|"+f.Key] != nil {
+						t.Fatalf("two %s frames for key %s", f.Name, f.Key)
+					}
+					frameOf[f.Name+"|"+f.Key] = f
+				}
+			}
+			wantCount := map[string]uint64{}
+			wantSum := map[string]int64{}
+			seen := map[obs.Phase]bool{}
+			kinds := map[string]int{}
+			for i := range recs.Arms {
+				a := &recs.Arms[i]
+				kinds[a.Kind]++
+				f := frameOf[a.Kind+"|"+a.Key]
+				if f == nil {
+					t.Fatalf("arm %s %s has no span frame", a.Kind, a.Key)
+				}
+				if len(a.Phases) == 0 || len(a.Phases) != len(f.Phases) {
+					t.Fatalf("arm %s: journal has %d phases, frame %d:\n%+v\n%+v", a.Key, len(a.Phases), len(f.Phases), a.Phases, f.Phases)
+				}
+				for j, p := range a.Phases {
+					if p.Phase != f.Phases[j].Phase || p.Nanos != f.Phases[j].DurNanos {
+						t.Errorf("arm %s phase %d: journal %s %dns, frame %s %dns",
+							a.Key, j, p.Phase, p.Nanos, f.Phases[j].Phase, f.Phases[j].DurNanos)
+					}
+					if p.Phase == obs.PhaseQueue {
+						t.Errorf("arm %s journaled a %s phase", a.Key, p.Phase)
+					}
+					seen[p.Phase] = true
+					wantCount[hists[p.Phase]]++
+					wantSum[hists[p.Phase]] += p.Nanos
+				}
+			}
+			if kinds["run"] != len(arms) || kinds["profile"] == 0 {
+				t.Fatalf("journal arm kinds = %v, want %d runs and the profile arms", kinds, len(arms))
+			}
+			for _, p := range []obs.Phase{obs.PhaseCapture, obs.PhaseReplay, obs.PhaseSelect, obs.PhaseCheckpoint, obs.PhaseSeal} {
+				if !seen[p] {
+					t.Errorf("no arm recorded a %s phase", p)
+				}
+			}
+			for _, name := range hists {
+				hist := sink.Histogram(name)
+				if hist.Count() != wantCount[name] || int64(hist.Sum()) != wantSum[name] {
+					t.Errorf("%s: count %d sum %dns, journal phases total %d and %dns",
+						name, hist.Count(), int64(hist.Sum()), wantCount[name], wantSum[name])
+				}
+			}
+		})
 	}
 }

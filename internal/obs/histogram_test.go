@@ -144,35 +144,6 @@ func TestVecFamilies(t *testing.T) {
 	}
 }
 
-// TestTimerCountAndMax is the Timer regression test: alongside the mean it
-// must expose how many observations it saw and the largest one.
-func TestTimerCountAndMax(t *testing.T) {
-	r := NewRegistry()
-	tm := r.Timer("t")
-	tm.Observe(2 * time.Second)
-	tm.Observe(6 * time.Second)
-	tm.Observe(time.Second)
-	if got := tm.Count(); got != 3 {
-		t.Fatalf("count = %d, want 3", got)
-	}
-	if got := tm.Max(); got != 6*time.Second {
-		t.Fatalf("max = %v, want 6s", got)
-	}
-	if got := tm.Mean(); got != 3*time.Second {
-		t.Fatalf("mean = %v, want 3s", got)
-	}
-	var nilT *Timer
-	nilT.Observe(time.Second)
-	if nilT.Count() != 0 || nilT.Max() != 0 {
-		t.Fatal("nil timer reports nonzero aggregates")
-	}
-	// Snapshot exposes the new aggregate.
-	snap := r.Snapshot()
-	if snap["t.max_ns"] != int64(6*time.Second) {
-		t.Fatalf("snapshot t.max_ns = %v", snap["t.max_ns"])
-	}
-}
-
 // TestHistogramPrometheusExposition renders a histogram family and checks
 // the 0.0.4 text shape: cumulative _bucket series ending in +Inf == _count,
 // float _sum in seconds, and exemplar comment lines carrying the trace.

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing metric. The zero value is ready to
@@ -55,62 +54,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Timer accumulates observed durations: a count, a total and the maximum.
-// A nil *Timer is a no-op.
-type Timer struct {
-	n   atomic.Uint64
-	ns  atomic.Int64
-	max atomic.Int64
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.n.Add(1)
-	t.ns.Add(int64(d))
-	for {
-		cur := t.max.Load()
-		if int64(d) <= cur || t.max.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
-// Count returns how many durations were observed (0 for nil).
-func (t *Timer) Count() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.n.Load()
-}
-
-// Total returns the sum of observed durations (0 for nil).
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.ns.Load())
-}
-
-// Max returns the largest observed duration (0 for nil).
-func (t *Timer) Max() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.max.Load())
-}
-
-// Mean returns the average observed duration (0 for nil or empty).
-func (t *Timer) Mean() time.Duration {
-	n := t.Count()
-	if n == 0 {
-		return 0
-	}
-	return t.Total() / time.Duration(n)
-}
-
 // Registry is a concurrent name → metric map. Metric handles are created on
 // first use and live for the registry's lifetime, so instrumented code
 // resolves its handles once and updates lock-free afterwards. A nil
@@ -119,7 +62,6 @@ type Registry struct {
 	mu          sync.RWMutex
 	counters    map[string]*Counter
 	gauges      map[string]*Gauge
-	timers      map[string]*Timer
 	hists       map[string]*Histogram
 	counterVecs map[string]*CounterVec
 	histVecs    map[string]*HistogramVec
@@ -130,7 +72,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:    map[string]*Counter{},
 		gauges:      map[string]*Gauge{},
-		timers:      map[string]*Timer{},
 		hists:       map[string]*Histogram{},
 		counterVecs: map[string]*CounterVec{},
 		histVecs:    map[string]*HistogramVec{},
@@ -175,26 +116,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Timer returns the named timer, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	t := r.timers[name]
-	r.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t = r.timers[name]; t == nil {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -260,8 +181,7 @@ func (r *Registry) HistogramVec(name string) *HistogramVec {
 }
 
 // Snapshot returns a point-in-time flat view of every metric. Counters and
-// gauges map to their value; a timer named t contributes "t.count",
-// "t.total_ns" and "t.max_ns"; a histogram named h contributes "h.count",
+// gauges map to their value; a histogram named h contributes "h.count",
 // "h.sum_ns" and "h.max_ns"; vec children contribute one entry per label,
 // keyed name{tenant="x"}. Nil registries snapshot empty.
 func (r *Registry) Snapshot() map[string]int64 {
@@ -276,11 +196,6 @@ func (r *Registry) Snapshot() map[string]int64 {
 	}
 	for name, g := range r.gauges {
 		out[name] = g.Value()
-	}
-	for name, t := range r.timers {
-		out[name+".count"] = int64(t.Count())
-		out[name+".total_ns"] = int64(t.Total())
-		out[name+".max_ns"] = int64(t.Max())
 	}
 	for name, h := range r.hists {
 		out[name+".count"] = int64(h.Count())

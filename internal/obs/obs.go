@@ -1,12 +1,12 @@
 // Package obs is the experiment pipeline's observability layer: an atomic
-// in-process metric registry (counters, gauges, timers), per-arm lifecycle
-// spans with phase timings, a structured JSONL run journal, a periodic
-// terminal progress reporter, and an optional HTTP endpoint serving
-// expvar-style metric dumps plus net/http/pprof.
+// in-process metric registry (counters, gauges, histograms), spans with
+// phase timings for arms and request traces, a structured JSONL run
+// journal, a periodic terminal progress reporter, and an optional HTTP
+// endpoint serving expvar-style metric dumps plus net/http/pprof.
 //
 // The layer is built around one rule: disabled observability costs nothing.
 // Every type in this package is nil-safe — a nil *Observer hands out nil
-// *Counter/*Gauge/*Timer/*Span handles, and every method on those nil
+// *Counter/*Gauge/*Histogram/*Span handles, and every method on those nil
 // handles is a no-op — so instrumented code calls through unconditionally,
 // with no branching at the call sites and no allocation on the disabled
 // path. Hot loops (the simulator's per-branch path) additionally batch
@@ -122,9 +122,6 @@ func (o *Observer) Counter(name string) *Counter { return o.Registry().Counter(n
 
 // Gauge returns the named gauge (nil, a no-op, for a nil observer).
 func (o *Observer) Gauge(name string) *Gauge { return o.Registry().Gauge(name) }
-
-// Timer returns the named timer (nil, a no-op, for a nil observer).
-func (o *Observer) Timer(name string) *Timer { return o.Registry().Timer(name) }
 
 // Histogram returns the named histogram (nil, a no-op, for a nil observer).
 func (o *Observer) Histogram(name string) *Histogram { return o.Registry().Histogram(name) }

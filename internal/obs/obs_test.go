@@ -33,18 +33,13 @@ func TestNilObserverIsNoop(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatalf("nil gauge accumulated")
 	}
-	tm := o.Timer("z")
-	tm.Observe(time.Second)
-	if tm.Count() != 0 || tm.Total() != 0 || tm.Mean() != 0 {
-		t.Fatalf("nil timer accumulated")
-	}
 	s := o.StartArm("run", "k")
 	if s != nil {
 		t.Fatalf("nil observer returned a span")
 	}
 	s.SetLabels("w", "i", "p", "s")
 	s.SetSource(SourceCheckpoint)
-	s.AddPhase(PhaseReplay, time.Second)
+	s.AddPhase(PhaseReplay, time.Now(), time.Second)
 	s.Phase(PhaseSelect)()
 	s.AddRetry()
 	s.SetEvents(10)
@@ -71,7 +66,7 @@ func TestNilHandlesAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
 		g.Add(1)
-		s.AddPhase(PhaseReplay, 1)
+		s.AddPhase(PhaseReplay, time.Time{}, 1)
 		s.End(nil)
 	})
 	if allocs != 0 {
@@ -79,7 +74,7 @@ func TestNilHandlesAllocationFree(t *testing.T) {
 	}
 }
 
-func TestRegistryCountersGaugesTimers(t *testing.T) {
+func TestRegistryCountersGauges(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("a")
 	if c != r.Counter("a") {
@@ -89,17 +84,8 @@ func TestRegistryCountersGaugesTimers(t *testing.T) {
 	c.Add(3)
 	r.Gauge("g").Set(7)
 	r.Gauge("g").Add(-2)
-	r.Timer("t").Observe(2 * time.Second)
-	r.Timer("t").Observe(4 * time.Second)
-	if got := r.Timer("t").Mean(); got != 3*time.Second {
-		t.Fatalf("timer mean = %v", got)
-	}
 	snap := r.Snapshot()
-	want := map[string]int64{
-		"a": 5, "g": 5,
-		"t.count":    2,
-		"t.total_ns": int64(6 * time.Second),
-	}
+	want := map[string]int64{"a": 5, "g": 5}
 	for k, v := range want {
 		if snap[k] != v {
 			t.Errorf("snapshot[%q] = %d, want %d", k, snap[k], v)
@@ -124,8 +110,8 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 
 	s := o.StartArm("run", "r|gcc|ref|gshare:8KB")
 	s.SetLabels("gcc", "ref", "gshare:8KB", "static95")
-	s.AddPhase(PhaseSelect, 5*time.Millisecond)
-	s.AddPhase(PhaseReplay, 100*time.Millisecond)
+	s.AddPhase(PhaseSelect, time.Now(), 5*time.Millisecond)
+	s.AddPhase(PhaseReplay, time.Now(), 100*time.Millisecond)
 	s.AddRetry()
 	s.SetEvents(1_000_000)
 	s.SetMetrics(map[string]any{"Mispredicts": 42})

@@ -38,7 +38,7 @@ func (r *SpanRecord) stamp()             { r.Type, r.V = RecSpan, SchemaV1 }
 
 // SpanRecord is one closed trace span: a node of a request's span tree,
 // identified by (trace_id, span_id) with parent_id naming its parent within
-// the same trace. Live-only: published to the event bus by TraceSpan.End,
+// the same trace. Live-only: published to the event bus by Span.End,
 // never journaled — the journal must stay byte-identical with tracing on or
 // off, per the arm_start/progress precedent. Consumers (bpjournal -trace,
 // the dashboard) reassemble the tree from these frames.

@@ -93,18 +93,27 @@ type ArmRecord struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Span tracks one arm while it runs and becomes an ArmRecord when it ends.
-// A span belongs to the single goroutine executing its arm; it is not safe
-// for concurrent use. A nil *Span (from a nil Observer) is a no-op.
+// Span is one timed operation while it runs: an arm of a sweep (StartArm,
+// StartArmCtx) or a node of a request trace (StartSpan). An arm span also
+// carries the arm's journal fields. Phases are recorded once, by AddPhase;
+// End derives every view of them: the arm's ArmRecord.Phases, the
+// per-phase duration histograms and, when the observer traces, the live
+// {type:"span"} frame. A span belongs to the single goroutine executing its
+// operation; it is not safe for concurrent use. A nil *Span is a no-op.
 type Span struct {
-	o       *Observer
-	rec     ArmRecord
-	started time.Time
-	faults0 uint64
-	// trace is the arm's trace span, when the observer traces; the
-	// ArmRecord itself never carries trace fields, so journal bytes are
+	o      *Observer
+	start  time.Time
+	phases []SpanPhase
+	// frame is the span's live trace record, published by End only when
+	// traced. The ArmRecord never carries trace fields, so journal bytes are
 	// identical with tracing on or off.
-	trace *TraceSpan
+	frame  SpanRecord
+	traced bool
+	// arm marks an arm span: End journals rec, counting the faults injected
+	// since faults0.
+	arm     bool
+	rec     ArmRecord
+	faults0 uint64
 }
 
 // StartArm opens a span for one arm. kind is the harness stage ("profile",
@@ -115,10 +124,10 @@ func (o *Observer) StartArm(kind, key string) *Span {
 }
 
 // StartArmCtx is StartArm with trace propagation: when the observer traces,
-// the arm also opens a trace span as a child of the span carried by ctx, and
-// the returned context carries the arm's span (so nested work — the shared
-// capture — attributes to it). The arm's span context is noted under key in
-// the cross-link registry so singleflight followers can link the winner.
+// the arm span is also a trace span, a child of the span carried by ctx,
+// and the returned context carries it (so nested work — the shared capture
+// — attributes to it). The arm's span context is noted under key in the
+// cross-link registry so singleflight followers can link the winner.
 func (o *Observer) StartArmCtx(ctx context.Context, kind, key string) (*Span, context.Context) {
 	if o == nil {
 		return nil, ctx
@@ -128,25 +137,52 @@ func (o *Observer) StartArmCtx(ctx context.Context, kind, key string) (*Span, co
 	o.Publish(&ArmStartRecord{Time: time.Now(), Kind: kind, Key: key})
 	s := &Span{
 		o:       o,
+		start:   time.Now(),
+		arm:     true,
 		rec:     ArmRecord{Kind: kind, Key: key, Source: SourceComputed},
-		started: time.Now(),
 		faults0: o.Counter(MFaultsInjected).Value(),
 	}
-	s.trace, ctx = o.StartSpan(ctx, kind)
-	if s.trace != nil {
-		s.trace.SetKey(key)
-		o.NoteSpanKey(key, s.trace.Context())
+	if o.tracing {
+		ctx = s.trace(ctx, kind)
+		s.frame.Key = key
+		o.NoteSpanKey(key, s.Context())
 	}
 	return s, ctx
 }
 
-// Trace returns the arm's trace span (nil when the observer does not
-// trace), for callers that attach cross-trace links.
-func (s *Span) Trace() *TraceSpan {
-	if s == nil {
-		return nil
+// StartSpan opens a trace span named name as a child of the span carried by
+// ctx (a root span if ctx carries none) and returns it together with a
+// context carrying the new span. On a nil observer — or one built without
+// WithTracing — it returns (nil, ctx) unchanged, so the disabled path costs
+// one branch and no allocation.
+func (o *Observer) StartSpan(ctx context.Context, name string) (*Span, context.Context) {
+	if o == nil || !o.tracing {
+		return nil, ctx
 	}
-	return s.trace
+	s := &Span{o: o, start: time.Now()}
+	return s, s.trace(ctx, name)
+}
+
+// trace makes s a node of the trace carried by ctx (the root of a new one
+// when ctx carries none) and returns ctx carrying s.
+func (s *Span) trace(ctx context.Context, name string) context.Context {
+	s.traced = true
+	s.frame.SpanID, s.frame.Name = newID(), name
+	if parent, ok := SpanFromContext(ctx); ok {
+		s.frame.TraceID, s.frame.ParentID = parent.TraceID, parent.SpanID
+	} else {
+		s.frame.TraceID = newID()
+	}
+	return ContextWithSpan(ctx, s.Context())
+}
+
+// Context returns the span's trace identity (zero for nil and for a span
+// of an observer that does not trace).
+func (s *Span) Context() SpanContext {
+	if s == nil {
+		return SpanContext{}
+	}
+	return SpanContext{TraceID: s.frame.TraceID, SpanID: s.frame.SpanID}
 }
 
 // SetLabels records the arm's identity. Empty strings leave the previous
@@ -169,46 +205,53 @@ func (s *Span) SetLabels(workload, input, predictor, scheme string) {
 	}
 }
 
-// SetSource records where the arm's result came from (SourceComputed is the
-// default).
+// SetTenant records the owning tenant on the trace frame.
+func (s *Span) SetTenant(tenant string) {
+	if s != nil {
+		s.frame.Tenant = tenant
+	}
+}
+
+// SetJob records the owning job ID on the trace frame.
+func (s *Span) SetJob(id string) {
+	if s != nil {
+		s.frame.Job = id
+	}
+}
+
+// SetKey records on the trace frame the arm memoization key the span
+// covers.
+func (s *Span) SetKey(key string) {
+	if s != nil {
+		s.frame.Key = key
+	}
+}
+
+// SetSource records where the spanned result came from: computed (an arm's
+// default), checkpoint or singleflight.
 func (s *Span) SetSource(source string) {
 	if s != nil {
 		s.rec.Source = source
-		s.trace.SetSource(source)
+		s.frame.Source = source
 	}
 }
 
-// AddPhase appends one phase timing (the phase ended now, d ago), mirrors
-// it onto the arm's trace span, and feeds the per-phase duration histogram.
-func (s *Span) AddPhase(p Phase, d time.Duration) {
+// SetStart rewinds the span's start time — for spans created after the fact
+// around an already-measured wait (a singleflight follower's blocked time).
+func (s *Span) SetStart(t time.Time) {
+	if s != nil {
+		s.start = t
+	}
+}
+
+// AddPhase records one phase that started at start and lasted d. It is the
+// only writer of the span's phase list; End derives the journal, histogram
+// and trace views from that list.
+func (s *Span) AddPhase(p Phase, start time.Time, d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.rec.Phases = append(s.rec.Phases, PhaseTiming{Phase: p, Nanos: int64(d)})
-	s.trace.AddPhase(p, time.Now().Add(-d), d)
-	if name := phaseHistName(p); name != "" {
-		s.o.Histogram(name).Observe(d)
-	}
-}
-
-// phaseHistName maps an arm phase to its duration-histogram name ("" for
-// phases without one).
-func phaseHistName(p Phase) string {
-	switch p {
-	case PhaseCapture:
-		return MPhaseCapture
-	case PhaseReplay:
-		return MPhaseReplay
-	case PhaseSimulate:
-		return MPhaseSimulate
-	case PhaseSelect:
-		return MPhaseSelect
-	case PhaseCheckpoint:
-		return MPhaseCheckpoint
-	case PhaseSeal:
-		return MPhaseSeal
-	}
-	return ""
+	s.phases = append(s.phases, SpanPhase{Phase: p, OffsetNanos: int64(start.Sub(s.start)), DurNanos: int64(d)})
 }
 
 // Phase starts timing phase p and returns the function that ends it. Usage:
@@ -219,10 +262,34 @@ func (s *Span) Phase(p Phase) func() {
 		return noop
 	}
 	t0 := time.Now()
-	return func() { s.AddPhase(p, time.Since(t0)) }
+	return func() { s.AddPhase(p, t0, time.Since(t0)) }
 }
 
 var noop = func() {}
+
+// phaseHists maps each arm phase to its duration histogram. PhaseQueue has
+// none.
+var phaseHists = map[Phase]string{
+	PhaseCapture:    MPhaseCapture,
+	PhaseReplay:     MPhaseReplay,
+	PhaseSimulate:   MPhaseSimulate,
+	PhaseSelect:     MPhaseSelect,
+	PhaseCheckpoint: MPhaseCheckpoint,
+	PhaseSeal:       MPhaseSeal,
+}
+
+// Link records a cross-trace reference to another span: kind "singleflight"
+// points a follower at the winner that computed its result, kind "capture"
+// points a replaying arm at the capture that recorded its stream. Zero
+// targets are ignored.
+func (s *Span) Link(target SpanContext, kind string) {
+	if s == nil || target.TraceID == "" {
+		return
+	}
+	s.frame.Links = append(s.frame.Links, SpanLink{
+		TraceID: target.TraceID, SpanID: target.SpanID, Kind: kind,
+	})
+}
 
 // AddRetry counts one in-place re-attempt, on the span and on the
 // registry's global retry counter.
@@ -251,15 +318,42 @@ func (s *Span) SetMetrics(v any) {
 	}
 }
 
-// End closes the span: it computes wall time and throughput, stamps the
-// fault delta, updates the arm counters, and appends the record to the
-// journal. err is the arm's outcome (nil for success).
+// End closes the span. err is the spanned operation's outcome (nil for
+// success). It walks the phase list once, feeding the per-phase histograms
+// and, on an arm span, the record's phases. A traced span is then published
+// to the live event bus (never the journal). An arm span finally gets its
+// wall time, throughput and fault delta, updates the arm counters, and is
+// appended to the journal.
 func (s *Span) End(err error) {
 	if s == nil {
 		return
 	}
-	s.rec.Time = time.Now()
-	s.rec.WallNanos = int64(s.rec.Time.Sub(s.started))
+	now := time.Now()
+	wall := now.Sub(s.start)
+	for _, p := range s.phases {
+		if s.arm {
+			s.rec.Phases = append(s.rec.Phases, PhaseTiming{Phase: p.Phase, Nanos: p.DurNanos})
+		}
+		if name, ok := phaseHists[p.Phase]; ok {
+			s.o.Histogram(name).Observe(time.Duration(p.DurNanos))
+		}
+	}
+	if s.traced {
+		s.frame.Time = now
+		s.frame.StartNanos = s.start.UnixNano()
+		s.frame.DurNanos = int64(wall)
+		s.frame.Phases = s.phases
+		if err != nil {
+			s.frame.Error = err.Error()
+		}
+		s.o.Counter(MTraceSpans).Add(1)
+		s.o.Publish(&s.frame)
+	}
+	if !s.arm {
+		return
+	}
+	s.rec.Time = now
+	s.rec.WallNanos = int64(wall)
 	s.rec.Faults = s.o.Counter(MFaultsInjected).Value() - s.faults0
 	if s.rec.Events > 0 {
 		if d := s.streamNanos(); d > 0 {
@@ -273,25 +367,23 @@ func (s *Span) End(err error) {
 	} else {
 		s.o.Counter(MArmsDone).Add(1)
 	}
-	wall := time.Duration(s.rec.WallNanos)
-	if s.trace != nil && s.o.slowArm > 0 && wall >= s.o.slowArm {
+	if s.traced && s.o.slowArm > 0 && wall >= s.o.slowArm {
 		// A slow arm: pin an exemplar so the latency bucket leads back to
 		// this arm's trace.
-		s.o.Histogram(MArmWall).ObserveExemplar(wall, s.trace.rec.TraceID)
+		s.o.Histogram(MArmWall).ObserveExemplar(wall, s.frame.TraceID)
 	} else {
 		s.o.Histogram(MArmWall).Observe(wall)
 	}
-	s.trace.End(err)
 	s.o.record(&s.rec)
 }
 
 // streamNanos returns the wall time of the arm's stream-feeding phase
 // (capture, replay or direct simulate), falling back to total wall time.
 func (s *Span) streamNanos() int64 {
-	for _, pt := range s.rec.Phases {
-		switch pt.Phase {
+	for _, p := range s.phases {
+		switch p.Phase {
 		case PhaseCapture, PhaseReplay, PhaseSimulate:
-			return pt.Nanos
+			return p.DurNanos
 		}
 	}
 	return s.rec.WallNanos

@@ -70,127 +70,6 @@ func newID() string {
 	return string(out[:])
 }
 
-// TraceSpan is one node of a request trace while it is open. It belongs to
-// the single goroutine executing its operation (like Span); a nil *TraceSpan
-// is a no-op, so callers thread it unconditionally.
-type TraceSpan struct {
-	o     *Observer
-	rec   SpanRecord
-	start time.Time
-}
-
-// StartSpan opens a trace span named name as a child of the span carried by
-// ctx (a root span if ctx carries none) and returns it together with a
-// context carrying the new span. On a nil observer — or one built without
-// WithTracing — it returns (nil, ctx) unchanged, so the disabled path costs
-// one branch and no allocation.
-func (o *Observer) StartSpan(ctx context.Context, name string) (*TraceSpan, context.Context) {
-	if o == nil || !o.tracing {
-		return nil, ctx
-	}
-	now := time.Now()
-	ts := &TraceSpan{
-		o:     o,
-		start: now,
-		rec:   SpanRecord{SpanID: newID(), Name: name},
-	}
-	if parent, ok := SpanFromContext(ctx); ok {
-		ts.rec.TraceID = parent.TraceID
-		ts.rec.ParentID = parent.SpanID
-	} else {
-		ts.rec.TraceID = newID()
-	}
-	return ts, ContextWithSpan(ctx, ts.Context())
-}
-
-// Context returns the span's identity (zero for nil).
-func (ts *TraceSpan) Context() SpanContext {
-	if ts == nil {
-		return SpanContext{}
-	}
-	return SpanContext{TraceID: ts.rec.TraceID, SpanID: ts.rec.SpanID}
-}
-
-// SetTenant records the owning tenant.
-func (ts *TraceSpan) SetTenant(tenant string) {
-	if ts != nil {
-		ts.rec.Tenant = tenant
-	}
-}
-
-// SetJob records the owning job ID.
-func (ts *TraceSpan) SetJob(id string) {
-	if ts != nil {
-		ts.rec.Job = id
-	}
-}
-
-// SetKey records the arm memoization key the span covers.
-func (ts *TraceSpan) SetKey(key string) {
-	if ts != nil {
-		ts.rec.Key = key
-	}
-}
-
-// SetSource records where the spanned operation's result came from
-// (computed, checkpoint, singleflight).
-func (ts *TraceSpan) SetSource(source string) {
-	if ts != nil {
-		ts.rec.Source = source
-	}
-}
-
-// SetStart rewinds the span's start time — for spans created after the fact
-// around an already-measured wait (a singleflight follower's blocked time).
-func (ts *TraceSpan) SetStart(t time.Time) {
-	if ts != nil {
-		ts.start = t
-	}
-}
-
-// AddPhase appends one timed phase that started at start and lasted d. Phase
-// offsets are relative to the span start, so renderers can draw a waterfall
-// without cross-referencing wall clocks.
-func (ts *TraceSpan) AddPhase(p Phase, start time.Time, d time.Duration) {
-	if ts == nil {
-		return
-	}
-	ts.rec.Phases = append(ts.rec.Phases, SpanPhase{
-		Phase:       p,
-		OffsetNanos: int64(start.Sub(ts.start)),
-		DurNanos:    int64(d),
-	})
-}
-
-// Link records a cross-trace reference to another span: kind "singleflight"
-// points a follower at the winner that computed its result, kind "capture"
-// points a replaying arm at the capture that recorded its stream. Zero
-// targets are ignored.
-func (ts *TraceSpan) Link(target SpanContext, kind string) {
-	if ts == nil || target.TraceID == "" {
-		return
-	}
-	ts.rec.Links = append(ts.rec.Links, SpanLink{
-		TraceID: target.TraceID, SpanID: target.SpanID, Kind: kind,
-	})
-}
-
-// End closes the span and publishes it to the live event bus (never the
-// journal). err is the spanned operation's outcome.
-func (ts *TraceSpan) End(err error) {
-	if ts == nil {
-		return
-	}
-	ts.rec.Time = time.Now()
-	ts.rec.StartNanos = ts.start.UnixNano()
-	ts.rec.DurNanos = int64(ts.rec.Time.Sub(ts.start))
-	if err != nil {
-		ts.rec.Error = err.Error()
-	}
-	ts.o.Counter(MTraceSpans).Add(1)
-	ts.o.Publish(&ts.rec)
-}
-
 // spanKeys is the cross-link registry: a bounded map from an operation key
 // (an arm memoization key, a capture key) to the span that is doing — or
 // did — that operation. Followers and replay consumers look their winner up

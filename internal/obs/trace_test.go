@@ -113,7 +113,7 @@ func TestSpanPhasesAndLinks(t *testing.T) {
 	}
 }
 
-// TestTracingDisabledIsFreeAndInert: without WithTracing (and on the nil
+// TestTracingDisabledIsInert: without WithTracing (and on the nil
 // observer) StartSpan returns nil and the untouched context, every method on
 // the nil span is a no-op, and no frame is published.
 func TestTracingDisabledIsInert(t *testing.T) {

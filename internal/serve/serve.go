@@ -115,7 +115,7 @@ type job struct {
 	// span is the job's trace span and traceID its trace, when the
 	// observer traces.
 	created time.Time
-	span    *obs.TraceSpan
+	span    *obs.Span
 	traceID string
 }
 
