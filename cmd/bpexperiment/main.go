@@ -78,7 +78,6 @@ type options struct {
 	keepGoing     bool
 	checkpointDir string
 	armTimeout    time.Duration
-	retries       int
 	replay        cliflags.Replay
 	observe       cliflags.Obs
 	telemetry     cliflags.Telemetry
@@ -98,7 +97,6 @@ func main() {
 	flag.BoolVar(&opt.keepGoing, "keep-going", false, "render the experiments that succeed even if others fail; summarize failures and exit non-zero")
 	flag.StringVar(&opt.checkpointDir, "checkpoint", "", "journal completed simulations into this directory and resume from it")
 	flag.DurationVar(&opt.armTimeout, "arm-timeout", 0, "per-simulation deadline, e.g. 10m (0 = none)")
-	flag.IntVar(&opt.retries, "retries", 1, "attempts per simulation for transient failures")
 	opt.replay.Register(flag.CommandLine)
 	opt.observe.Register(flag.CommandLine)
 	opt.telemetry.Register(flag.CommandLine)
@@ -154,9 +152,6 @@ func run(ctx context.Context, opt options) error {
 	})
 	defer stopReplay()
 	hopts = append(hopts, ropts...)
-	if opt.retries > 1 {
-		hopts = append(hopts, experiment.WithRetry(experiment.RetryPolicy{Attempts: opt.retries, Backoff: 250 * time.Millisecond}))
-	}
 	if opt.checkpointDir != "" {
 		cp, err := experiment.OpenCheckpoint(opt.checkpointDir)
 		if err != nil {

@@ -159,13 +159,12 @@ func summarize(path string, all *obs.Records, top int) error {
 		bySource := map[string]int{}
 		var events uint64
 		var wall time.Duration
-		var retries, failures int
+		var failures int
 		for _, r := range recs {
 			byKind[r.Kind]++
 			bySource[r.Source]++
 			events += r.Events
 			wall += time.Duration(r.WallNanos)
-			retries += r.Retries
 			if r.Error != "" {
 				failures++
 			}
@@ -176,11 +175,7 @@ func summarize(path string, all *obs.Records, top int) error {
 		fmt.Print("), sources: ")
 		printCounts(bySource)
 		fmt.Println()
-		fmt.Printf("  %d branch events simulated, %v arm wall time", events, wall.Round(time.Millisecond))
-		if retries > 0 {
-			fmt.Printf(", %d retries", retries)
-		}
-		fmt.Println()
+		fmt.Printf("  %d branch events simulated, %v arm wall time\n", events, wall.Round(time.Millisecond))
 		if failures > 0 {
 			fmt.Printf("  %d arms failed:\n", failures)
 			for _, r := range recs {

@@ -45,7 +45,7 @@ func TestSummarizeJournal(t *testing.T) {
 		obs.ArmRecord{
 			Time: time.Now(), Kind: "run", Key: "r|gcc|...",
 			Source: obs.SourceComputed, WallNanos: int64(time.Millisecond),
-			Retries: 2, Error: "boom",
+			Error: "boom",
 		},
 	)
 	for _, quiet := range []bool{false, true} {

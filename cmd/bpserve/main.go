@@ -53,7 +53,6 @@ type options struct {
 	grace         time.Duration
 	checkpointDir string
 	armTimeout    time.Duration
-	retries       int
 	armWorkers    int
 	maxTenantJobs int
 	maxArmsPerJob int
@@ -73,7 +72,6 @@ func main() {
 	flag.DurationVar(&opt.grace, "grace", 30*time.Second, "how long a shutdown signal lets in-flight arms drain before cancelling them")
 	flag.StringVar(&opt.checkpointDir, "checkpoint", "", "journal completed simulations into this directory and resume from it")
 	flag.DurationVar(&opt.armTimeout, "arm-timeout", 0, "per-simulation deadline, e.g. 10m (0 = none)")
-	flag.IntVar(&opt.retries, "retries", 1, "attempts per simulation for transient failures")
 	flag.IntVar(&opt.armWorkers, "arm-workers", runtime.GOMAXPROCS(0), "concurrently executing arms across all jobs")
 	flag.IntVar(&opt.maxTenantJobs, "max-tenant-jobs", serve.DefaultMaxTenantJobs, "in-flight job quota per tenant; further submissions are rejected, not queued")
 	flag.IntVar(&opt.maxArmsPerJob, "max-arms", serve.DefaultMaxArmsPerJob, "arm quota per job; larger grids must be split")
@@ -120,9 +118,6 @@ func run(ctx context.Context, opt options) error {
 	})
 	defer stopReplay()
 	hopts = append(hopts, ropts...)
-	if opt.retries > 1 {
-		hopts = append(hopts, experiment.WithRetry(experiment.RetryPolicy{Attempts: opt.retries, Backoff: 250 * time.Millisecond}))
-	}
 	if opt.checkpointDir != "" {
 		cp, err := experiment.OpenCheckpoint(opt.checkpointDir)
 		if err != nil {

@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"branchsim"
@@ -57,13 +58,15 @@ func main() {
 		return
 	}
 
-	if err := run(*wl, *input, *pred, *hintsPath, observe.MetricsAddr, observe.ServeAddr, observe.JournalPath, *shift, *collisions, tel.Config()); err != nil {
+	if err := run(*wl, *input, *pred, *hintsPath, observe, *shift, *collisions, tel.Config(), os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "bpsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(wl, input, pred, hintsPath, metricsAddr, serveAddr, journalPath string, shift, collisions bool, tel branchsim.TelemetryConfig) error {
+// run simulates one arm under the parsed observability flags, writing
+// endpoint, progress and warning lines to logw.
+func run(wl, input, pred, hintsPath string, observe cliflags.Obs, shift, collisions bool, tel branchsim.TelemetryConfig, logw io.Writer) error {
 	dyn, err := branchsim.NewPredictor(pred)
 	if err != nil {
 		return err
@@ -86,19 +89,18 @@ func run(wl, input, pred, hintsPath, metricsAddr, serveAddr, journalPath string,
 	combined := branchsim.Combine(dyn, hints, policy)
 
 	telemetryOn := tel.Enabled()
-	observe := cliflags.Obs{JournalPath: journalPath, MetricsAddr: metricsAddr, ServeAddr: serveAddr}
 	sink, err := observe.Observer()
 	if err != nil {
 		return err
 	}
 	defer sink.Close()
-	stopEndpoints, err := observe.StartEndpoints(sink, "bpsim", os.Stderr, nil)
+	stopEndpoints, err := observe.StartEndpoints(sink, "bpsim", logw, nil)
 	if err != nil {
 		return err
 	}
 	defer stopEndpoints()
-	if telemetryOn && journalPath == "" {
-		fmt.Fprintln(os.Stderr, "bpsim: telemetry enabled without -journal; records will be collected and discarded")
+	if telemetryOn && observe.JournalPath == "" {
+		fmt.Fprintln(logw, "bpsim: telemetry enabled without -journal; records will be collected and discarded")
 	}
 
 	simOpts := []branchsim.SimOption{

@@ -1,17 +1,24 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"branchsim"
+	"branchsim/internal/cliflags"
 )
 
-var noTel = branchsim.TelemetryConfig{}
+var (
+	noTel = branchsim.TelemetryConfig{}
+	noObs = cliflags.Obs{}
+)
 
 func TestRunPlain(t *testing.T) {
-	if err := run("compress", "test", "gshare:1KB", "", "", "", "", false, true, noTel); err != nil {
+	if err := run("compress", "test", "gshare:1KB", "", noObs, false, true, noTel, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -35,11 +42,11 @@ func TestRunWithHints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := run("compress", "test", "gshare:1KB", hintsPath, "", "", "", true, true, noTel); err != nil {
+	if err := run("compress", "test", "gshare:1KB", hintsPath, noObs, true, true, noTel, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	// hints for the wrong workload must be rejected
-	if err := run("ijpeg", "test", "gshare:1KB", hintsPath, "", "", "", false, false, noTel); err == nil {
+	if err := run("ijpeg", "test", "gshare:1KB", hintsPath, noObs, false, false, noTel, io.Discard); err == nil {
 		t.Fatal("wrong-workload hints accepted")
 	}
 }
@@ -47,7 +54,7 @@ func TestRunWithHints(t *testing.T) {
 func TestRunWithTelemetryJournal(t *testing.T) {
 	journalPath := filepath.Join(t.TempDir(), "run.jsonl")
 	tel := branchsim.TelemetryConfig{Interval: 50_000, TableStats: true, TopK: 8}
-	if err := run("compress", "test", "gshare:1KB", "", "", "", journalPath, false, true, tel); err != nil {
+	if err := run("compress", "test", "gshare:1KB", "", cliflags.Obs{JournalPath: journalPath}, false, true, tel, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := branchsim.ReadJournalRecordsFile(journalPath)
@@ -63,14 +70,29 @@ func TestRunWithTelemetryJournal(t *testing.T) {
 	}
 }
 
+// TestRunProgress checks that the parsed -progress flag reaches the run: the
+// reporter's final line is written when the simulation ends.
+func TestRunProgress(t *testing.T) {
+	var log bytes.Buffer
+	if err := run("compress", "test", "gshare:1KB", "", cliflags.Obs{Progress: true}, false, true, noTel, &log); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(log.String(), "\n") {
+		if strings.HasPrefix(line, "done") {
+			return
+		}
+	}
+	t.Fatalf("no final progress line in %q", log.String())
+}
+
 func TestRunErrors(t *testing.T) {
-	if err := run("compress", "test", "nosuch", "", "", "", "", false, false, noTel); err == nil {
+	if err := run("compress", "test", "nosuch", "", noObs, false, false, noTel, io.Discard); err == nil {
 		t.Fatal("bad predictor accepted")
 	}
-	if err := run("nosuch", "test", "gshare:1KB", "", "", "", "", false, false, noTel); err == nil {
+	if err := run("nosuch", "test", "gshare:1KB", "", noObs, false, false, noTel, io.Discard); err == nil {
 		t.Fatal("bad workload accepted")
 	}
-	if err := run("compress", "test", "gshare:1KB", "/nonexistent/h.json", "", "", "", false, false, noTel); err == nil {
+	if err := run("compress", "test", "gshare:1KB", "/nonexistent/h.json", noObs, false, false, noTel, io.Discard); err == nil {
 		t.Fatal("missing hints file accepted")
 	}
 }

@@ -5,8 +5,10 @@
 // The paper measures collisions as scalar counts; this package answers the
 // follow-up question its future-work section raises — *which* branches to
 // statically predict to kill destructive interference — by attributing every
-// conflict to an (aggressor, victim) pair. The StaticCol selector uses the
-// per-branch aggregation; the bpalias tool prints the pair ranking.
+// conflict to an (aggressor, victim) pair. The bpalias tool prints the pair
+// ranking and the per-branch aggregation; nothing else imports the package.
+// The StaticCol selector (internal/core) does not use it: it selects on the
+// destructive-collision counts (Dcol) in the phase-1 profile.
 //
 // The analyzer models the index functions of the predictor schemes directly,
 // rather than instrumenting a live predictor: interference is a property of

@@ -40,9 +40,8 @@ type Arm struct {
 	Status string `json:"status"`
 	// Source is where the result came from once the arm ended (computed,
 	// checkpoint, singleflight).
-	Source  string            `json:"source,omitempty"`
-	Retries int               `json:"retries,omitempty"`
-	Phases  []obs.PhaseTiming `json:"phases,omitempty"`
+	Source string            `json:"source,omitempty"`
+	Phases []obs.PhaseTiming `json:"phases,omitempty"`
 
 	Events       uint64  `json:"events,omitempty"`
 	WallNanos    int64   `json:"wall_ns,omitempty"`
@@ -128,7 +127,7 @@ func (st *State) Ingest(line []byte) {
 		}
 		a.Workload, a.Input = r.Workload, r.Input
 		a.Predictor, a.Scheme = r.Predictor, r.Scheme
-		a.Source, a.Retries, a.Phases = r.Source, r.Retries, r.Phases
+		a.Source, a.Phases = r.Source, r.Phases
 		a.Events, a.WallNanos, a.EventsPerSec = r.Events, r.WallNanos, r.EventsPerSec
 	case *obs.IntervalRecord:
 		if len(st.intervals) >= maxIntervals {

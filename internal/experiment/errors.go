@@ -9,9 +9,9 @@ import (
 )
 
 // ArmError is the structured failure of one harness arm. A panicking
-// predictor or workload, a workload error, or an exhausted retry budget all
-// surface as an ArmError carrying enough context to report the failure in a
-// sweep summary without aborting the other arms.
+// predictor or workload, a workload error, or an expired per-arm deadline
+// all surface as an ArmError carrying enough context to report the failure
+// in a sweep summary without aborting the other arms.
 type ArmError struct {
 	// Key is the memoization key of the failed arm.
 	Key string
@@ -52,36 +52,4 @@ func armError(phase, key string, err error) error {
 		return err // keep the innermost arm context
 	}
 	return &ArmError{Key: key, Phase: phase, Err: err}
-}
-
-// transientError marks a failure worth retrying (see Transient).
-type transientError struct{ err error }
-
-func (e *transientError) Error() string   { return e.err.Error() }
-func (e *transientError) Unwrap() error   { return e.err }
-func (e *transientError) Transient() bool { return true }
-
-// Transient marks err as transient: the flight cache's retry policy will
-// re-attempt the computation with backoff instead of failing the arm on the
-// first occurrence. Deterministic simulation errors (unknown workload, bad
-// spec, panics) must not be marked transient.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether any error in err's chain declares itself
-// transient via a `Transient() bool` method. The check is structural, so
-// fault injectors and future I/O layers can mark their own errors without
-// importing this package.
-func IsTransient(err error) bool {
-	for err != nil {
-		if t, ok := err.(interface{ Transient() bool }); ok && t.Transient() {
-			return true
-		}
-		err = errors.Unwrap(err)
-	}
-	return false
 }

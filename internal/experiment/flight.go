@@ -3,19 +3,7 @@ package experiment
 import (
 	"context"
 	"sync"
-	"time"
 )
-
-// RetryPolicy bounds how the flight cache re-attempts transient failures
-// (errors satisfying IsTransient). Deterministic failures are never retried.
-type RetryPolicy struct {
-	// Attempts is the maximum number of executions per do call, counting
-	// the first; values below 1 mean one attempt (no retry).
-	Attempts int
-	// Backoff is the wait before the first retry; it doubles on each
-	// further retry. Zero retries immediately.
-	Backoff time.Duration
-}
 
 // flight is a memoizing singleflight: concurrent callers of the same key
 // share one execution of fn, and successful results are cached forever. It
@@ -24,15 +12,11 @@ type RetryPolicy struct {
 //
 // Failures are not memoized: the error is delivered to every caller waiting
 // on the failed execution, but the key is released, so a later do call
-// retries fresh — one transiently failed arm does not poison the cache for
-// the rest of a sweep. Transient errors are additionally retried in place,
-// with bounded exponential backoff, before being reported at all.
+// computes afresh — one failed arm does not poison the cache for the rest
+// of a sweep.
 type flight[T any] struct {
-	mu    sync.Mutex
-	m     map[string]*call[T]
-	retry RetryPolicy
-	// sleep intercepts backoff waits in tests; nil means sleepCtx.
-	sleep func(context.Context, time.Duration) error
+	mu sync.Mutex
+	m  map[string]*call[T]
 }
 
 type call[T any] struct {
@@ -78,55 +62,16 @@ func (f *flight[T]) doShared(ctx context.Context, key string, fn func() (T, erro
 	f.m[key] = c
 	f.mu.Unlock()
 
-	c.val, c.err = f.attempt(ctx, fn)
+	c.val, c.err = fn()
 	if c.err != nil {
-		// Release the key before waking waiters so a retrying caller
-		// can never observe the failed entry.
+		// Release the key before waking waiters so a caller that tries
+		// again can never observe the failed entry.
 		f.mu.Lock()
 		delete(f.m, key)
 		f.mu.Unlock()
 	}
 	close(c.done)
 	return c.val, false, c.err
-}
-
-// attempt runs fn under the retry policy: transient errors are re-attempted
-// with exponential backoff until the attempt budget or ctx is exhausted.
-func (f *flight[T]) attempt(ctx context.Context, fn func() (T, error)) (T, error) {
-	attempts := f.retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	sleep := f.sleep
-	if sleep == nil {
-		sleep = sleepCtx
-	}
-	backoff := f.retry.Backoff
-	for i := 1; ; i++ {
-		val, err := fn()
-		if err == nil || i >= attempts || !IsTransient(err) || ctx.Err() != nil {
-			return val, err
-		}
-		if sleep(ctx, backoff) != nil {
-			return val, err // cancelled mid-backoff: report the failure
-		}
-		backoff *= 2
-	}
-}
-
-// sleepCtx waits for d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // size reports the number of cached (or in-flight) keys.

@@ -103,72 +103,6 @@ func TestFlightSharesInFlightError(t *testing.T) {
 	}
 }
 
-func TestFlightRetriesTransient(t *testing.T) {
-	f := flight[int]{
-		retry: RetryPolicy{Attempts: 3, Backoff: time.Millisecond},
-		sleep: func(context.Context, time.Duration) error { return nil },
-	}
-	calls := 0
-	v, err := f.do(context.Background(), "k", func() (int, error) {
-		calls++
-		if calls < 3 {
-			return 0, Transient(errors.New("flaky"))
-		}
-		return 42, nil
-	})
-	if err != nil || v != 42 {
-		t.Fatalf("do = %d, %v", v, err)
-	}
-	if calls != 3 {
-		t.Fatalf("transient error retried %d times, want 3 attempts", calls)
-	}
-}
-
-func TestFlightDoesNotRetryPermanent(t *testing.T) {
-	f := flight[int]{
-		retry: RetryPolicy{Attempts: 5, Backoff: time.Millisecond},
-		sleep: func(context.Context, time.Duration) error { return nil },
-	}
-	calls := 0
-	sentinel := errors.New("deterministic")
-	if _, err := f.do(context.Background(), "k", func() (int, error) {
-		calls++
-		return 0, sentinel
-	}); err != sentinel {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("permanent error retried: %d calls", calls)
-	}
-}
-
-func TestFlightRetryBudgetExhausted(t *testing.T) {
-	var backoffs []time.Duration
-	f := flight[int]{
-		retry: RetryPolicy{Attempts: 3, Backoff: 10 * time.Millisecond},
-		sleep: func(_ context.Context, d time.Duration) error {
-			backoffs = append(backoffs, d)
-			return nil
-		},
-	}
-	calls := 0
-	inner := errors.New("still flaky")
-	_, err := f.do(context.Background(), "k", func() (int, error) {
-		calls++
-		return 0, Transient(inner)
-	})
-	if !errors.Is(err, inner) {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("attempts = %d, want 3", calls)
-	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(backoffs) != len(want) || backoffs[0] != want[0] || backoffs[1] != want[1] {
-		t.Fatalf("backoffs = %v, want %v", backoffs, want)
-	}
-}
-
 func TestFlightWaiterHonorsContext(t *testing.T) {
 	var f flight[int]
 	started := make(chan struct{})
@@ -201,14 +135,11 @@ func TestFlightWaiterHonorsContext(t *testing.T) {
 	}
 }
 
-func TestFlightConcurrentRetries(t *testing.T) {
+func TestFlightConcurrentFailures(t *testing.T) {
 	// Hammer one key with failures and successes from many goroutines;
 	// exercised under -race this validates the delete-before-close
 	// ordering in do.
-	f := flight[int]{
-		retry: RetryPolicy{Attempts: 2},
-		sleep: func(context.Context, time.Duration) error { return nil },
-	}
+	var f flight[int]
 	var fail atomic.Bool
 	fail.Store(true)
 	var wg sync.WaitGroup
@@ -221,7 +152,7 @@ func TestFlightConcurrentRetries(t *testing.T) {
 			}
 			f.do(context.Background(), "k", func() (int, error) {
 				if fail.Load() {
-					return 0, Transient(errors.New("flaky"))
+					return 0, errors.New("flaky")
 				}
 				return 5, nil
 			})

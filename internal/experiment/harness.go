@@ -40,9 +40,9 @@ var FivePredictors = []string{"bimodal", "ghist", "gshare", "bimode", "2bcgskew"
 // The harness is also the resilience boundary of a sweep. Every arm runs
 // under the caller's context (plus an optional per-arm deadline), a
 // panicking predictor or workload fails only its own arm (surfaced as an
-// *ArmError), transient failures are retried with backoff, and — with a
-// Checkpoint attached — completed work is journaled to disk so a killed
-// sweep resumes where it stopped.
+// *ArmError), failures are never memoized, and — with a Checkpoint
+// attached — completed work is journaled to disk so a killed sweep resumes
+// where it stopped.
 type Harness struct {
 	// RefInput is the measurement input (paper: "ref").
 	RefInput string
@@ -82,14 +82,13 @@ type Harness struct {
 	telemetry telemetry.Config
 
 	logMu sync.Mutex
-	// The memoized work; WithRetry sets each flight's retry policy.
+	// The memoized work.
 	profiles flight[*profile.DB]
 	hints    flight[*core.HintDB]
 	runs     flight[sim.Metrics]
 	// The stream passes behind profiles and runs, memoized apart from them:
 	// a pass run on another arm's behalf is journaled, checkpointed and
-	// counted only when an arm asks for its own key. They do not retry;
-	// the arm above them does.
+	// counted only when an arm asks for its own key.
 	biasPasses flight[*profile.DB] // bias profile per (workload, input)
 	basePasses flight[*baseline]   // per (workload, input, canonical spec)
 
@@ -262,25 +261,19 @@ func (h *Harness) logf(format string, args ...any) {
 // arm's simulation, shared with Run), so no pass of its own simulates the
 // predictor. The passes run under ctx (plus the per-arm deadline, if
 // configured); failures are reported as *ArmError and are not memoized, so
-// a later call retries.
+// a later call computes afresh.
 func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*profile.DB, error) {
 	spec := predictor.Canonical(predSpec)
 	key := "p|" + wl + "|" + input + "|" + spec
 	var span *obs.Span
-	attempts := 0
 	started := time.Now()
 	db, shared, err := h.profiles.doShared(ctx, key, func() (*profile.DB, error) {
 		// The span is created inside the singleflight fn — it runs in the
 		// winning caller's goroutine — so one arm gets exactly one span no
-		// matter how many callers coalesce onto it. Retries re-enter fn and
-		// accumulate onto the same span. StartArmCtx threads the winner's
-		// trace context down to nested work.
-		if attempts++; attempts == 1 {
-			span, ctx = h.obs.StartArmCtx(ctx, "profile", key)
-			span.SetLabels(wl, input, spec, "")
-		} else {
-			span.AddRetry()
-		}
+		// matter how many callers coalesce onto it. StartArmCtx threads the
+		// winner's trace context down to nested work.
+		span, ctx = h.obs.StartArmCtx(ctx, "profile", key)
+		span.SetLabels(wl, input, spec, "")
 		if h.checkpoint != nil {
 			endCk := span.Phase(obs.PhaseCheckpoint)
 			db, ok := h.checkpoint.LookupProfile(key)
@@ -531,16 +524,11 @@ func (h *Harness) RunAttributed(ctx context.Context, a Arm) (sim.Metrics, string
 	spec := predictor.Canonical(a.Pred)
 	key := a.key() + "|" + a.input(h)
 	var span *obs.Span
-	attempts := 0
 	started := time.Now()
 	src := obs.SourceComputed
 	m, shared, err := h.runs.doShared(ctx, key, func() (sim.Metrics, error) {
-		if attempts++; attempts == 1 {
-			span, ctx = h.obs.StartArmCtx(ctx, "run", key)
-			span.SetLabels(a.Workload, a.input(h), spec, a.schemeLabel())
-		} else {
-			span.AddRetry()
-		}
+		span, ctx = h.obs.StartArmCtx(ctx, "run", key)
+		span.SetLabels(a.Workload, a.input(h), spec, a.schemeLabel())
 		if h.checkpoint != nil {
 			endCk := span.Phase(obs.PhaseCheckpoint)
 			m, ok := h.checkpoint.LookupRun(key)

@@ -73,8 +73,8 @@ func TestHarnessJournalsSweep(t *testing.T) {
 		if len(rec.Phases) == 0 {
 			t.Errorf("record %q has no phase timings", rec.Key)
 		}
-		if rec.Error != "" || rec.Retries != 0 {
-			t.Errorf("record %q error=%q retries=%d", rec.Key, rec.Error, rec.Retries)
+		if rec.Error != "" {
+			t.Errorf("record %q error=%q", rec.Key, rec.Error)
 		}
 		switch rec.Kind {
 		case "run":

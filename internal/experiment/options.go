@@ -27,11 +27,6 @@ func WithArmTimeout(d time.Duration) HarnessOption {
 	return func(h *Harness) { h.armTimeout = d }
 }
 
-// WithRetry sets the in-place retry policy for transient arm failures.
-func WithRetry(p RetryPolicy) HarnessOption {
-	return func(h *Harness) { h.profiles.retry, h.hints.retry, h.runs.retry = p, p, p }
-}
-
 // WithCheckpoint journals completed work into cp and consults it before
 // simulating, so a killed sweep resumes where it stopped.
 func WithCheckpoint(cp *Checkpoint) HarnessOption {
@@ -58,7 +53,7 @@ func WithWorkers(n int) HarnessOption {
 
 // WithObserver threads the observability layer through the harness: per-arm
 // lifecycle spans (with phase timings and cache-hit provenance) flow to o's
-// journal, and the harness's counters — arms, retries, checkpoint and
+// journal, and the harness's counters — arms, checkpoint and
 // singleflight hits — to o's registry. The observer is also propagated to
 // the replay engine attached at construction time. A nil o leaves the
 // harness unobserved (the zero-cost default).

@@ -131,32 +131,6 @@ func TestCheckpointResumeRecomputesNothing(t *testing.T) {
 	}
 }
 
-// TestTransientArmFailureIsRetried wires faults.TransientError through the
-// harness retry policy: a predictor that errors transiently on its first
-// construction succeeds on the retry and the arm completes.
-func TestTransientArmFailureIsRetried(t *testing.T) {
-	attempts := 0
-	h := testHarness(
-		WithRetry(RetryPolicy{Attempts: 3, Backoff: time.Millisecond}),
-		WithPredictorFactory(func(spec string) (predictor.Predictor, error) {
-			attempts++
-			if attempts == 1 {
-				return nil, &faults.TransientError{Err: errors.New("predictor table mmap failed")}
-			}
-			return predictor.New(spec)
-		}))
-	m, err := h.Run(context.Background(), Arm{Workload: "compress", Pred: "gshare:1KB", Scheme: "none"})
-	if err != nil {
-		t.Fatalf("transient failure not retried: %v", err)
-	}
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", attempts)
-	}
-	if m.Branches == 0 {
-		t.Fatalf("retried arm produced empty metrics: %+v", m)
-	}
-}
-
 // TestCanceledContextStopsArm covers the cooperative-cancellation path: a
 // context canceled mid-simulation surfaces context.Canceled promptly, and a
 // pre-canceled context never starts the arm.

@@ -5,9 +5,9 @@
 // operation counts.
 //
 // Schedules are counted, not timed, so an injected fault lands on exactly
-// the same dynamic event in every run: tests of panic isolation, retry
-// policies and checkpoint resume stay reproducible under -race and on slow
-// CI machines.
+// the same dynamic event in every run: tests of panic isolation, timeout
+// attribution and checkpoint resume stay reproducible under -race and on
+// slow CI machines.
 package faults
 
 import (
@@ -79,8 +79,7 @@ type Fault struct {
 	Kind Kind
 	// Msg is the panic value for KindPanic.
 	Msg string
-	// Err is the error for KindError. Wrap it in a transient marker (see
-	// TransientError) to exercise retry policies.
+	// Err is the error for KindError.
 	Err error
 	// Delay is the stall for KindDelay.
 	Delay time.Duration
@@ -146,17 +145,3 @@ func (p *Plan) tick() *Fault {
 	}
 	return nil
 }
-
-// TransientError is an error that declares itself transient to retry
-// policies (structurally, via the Transient() bool method the experiment
-// package checks for).
-type TransientError struct{ Err error }
-
-// Error implements error.
-func (e *TransientError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the wrapped error.
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// Transient marks the error as retryable.
-func (e *TransientError) Transient() bool { return true }

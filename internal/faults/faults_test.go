@@ -80,7 +80,7 @@ func TestProgramErrorInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	injected := &TransientError{Err: errors.New("transient io")}
+	injected := errors.New("injected io")
 	prog := &Program{Inner: inner, Plan: NewPlan(Fault{At: 50, Kind: KindError, Err: injected})}
 	err = workload.RunProgram(context.Background(), prog, workload.InputTest, trace.Discard)
 	if !errors.Is(err, injected) {

@@ -52,8 +52,6 @@ const (
 	MArmsFailed = "experiment.arms_failed"
 	// MArmsRunning (gauge) is the number of arms currently in flight.
 	MArmsRunning = "experiment.arms_running"
-	// MRetries counts in-place re-attempts of transiently failed arms.
-	MRetries = "experiment.retries"
 	// MPanics counts arms that died of an isolated panic.
 	MPanics = "experiment.panics"
 	// MCheckpointHits counts arms satisfied from the on-disk checkpoint.
@@ -76,8 +74,9 @@ const (
 	// MTelemetrySites (gauge) is the number of distinct static branches the
 	// most recently sealed collector was tracking.
 	MTelemetrySites = "telemetry.sites"
-	// MTelemetrySitesDropped counts static branches that fell off the
-	// bounded per-branch tracker (the site cap was reached).
+	// MTelemetrySitesDropped counts executions of branches that fell off
+	// the bounded per-branch tracker (the site cap was reached): dynamic
+	// events, not static branches.
 	MTelemetrySitesDropped = "telemetry.sites_dropped"
 	// MTelemetryTaggedSamples counts tagged-bank introspection samples taken
 	// at interval boundaries (tage/perceptron table stats).
@@ -244,7 +243,6 @@ var registeredNames = []RegisteredName{
 	{MArmsDone, KindCounter},
 	{MArmsFailed, KindCounter},
 	{MArmsRunning, KindGauge},
-	{MRetries, KindCounter},
 	{MPanics, KindCounter},
 	{MCheckpointHits, KindCounter},
 	{MSingleflightHits, KindCounter},

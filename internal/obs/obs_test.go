@@ -41,7 +41,6 @@ func TestNilObserverIsNoop(t *testing.T) {
 	s.SetSource(SourceCheckpoint)
 	s.AddPhase(PhaseReplay, time.Now(), time.Second)
 	s.Phase(PhaseSelect)()
-	s.AddRetry()
 	s.SetEvents(10)
 	s.SetMetrics(struct{ X int }{1})
 	s.End(errors.New("boom")) // must not panic or write anywhere
@@ -112,7 +111,6 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 	s.SetLabels("gcc", "ref", "gshare:8KB", "static95")
 	s.AddPhase(PhaseSelect, time.Now(), 5*time.Millisecond)
 	s.AddPhase(PhaseReplay, time.Now(), 100*time.Millisecond)
-	s.AddRetry()
 	s.SetEvents(1_000_000)
 	s.SetMetrics(map[string]any{"Mispredicts": 42})
 	s.End(nil)
@@ -138,7 +136,7 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 		r0.Predictor != "gshare:8KB" || r0.Scheme != "static95" || r0.Source != SourceComputed {
 		t.Fatalf("record 0 = %+v", r0)
 	}
-	if r0.Retries != 1 || r0.Events != 1_000_000 || r0.WallNanos <= 0 {
+	if r0.Events != 1_000_000 || r0.WallNanos <= 0 {
 		t.Fatalf("record 0 counters = %+v", r0)
 	}
 	if len(r0.Phases) != 2 || r0.Phases[1].Phase != PhaseReplay || r0.Phases[1].Nanos != int64(100*time.Millisecond) {

@@ -421,7 +421,8 @@ type TopKRecord struct {
 	// K is the sketch capacity the lists were tracked with.
 	K int `json:"k"`
 	// Sites is the number of distinct static branches tracked;
-	// SitesDropped counts branches seen beyond the tracker's bound.
+	// SitesDropped counts executions of branches past the tracker's
+	// bound: dynamic events, not static branches.
 	Sites        int    `json:"sites"`
 	SitesDropped uint64 `json:"sites_dropped,omitempty"`
 

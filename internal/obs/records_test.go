@@ -65,9 +65,10 @@ func TestReadRecordsMixed(t *testing.T) {
 }
 
 // Journals written before the telemetry schema have no type/v envelope; they
-// must still read as arm records.
+// must still read as arm records. The line also carries "retries", a field
+// old harnesses wrote and ArmRecord no longer has: unknown fields are ignored.
 func TestReadRecordsLegacyArmLines(t *testing.T) {
-	legacy := `{"time":"2026-01-02T03:04:05Z","kind":"run","key":"k","source":"computed","wall_ns":12}` + "\n"
+	legacy := `{"time":"2026-01-02T03:04:05Z","kind":"run","key":"k","source":"computed","retries":2,"wall_ns":12}` + "\n"
 	recs, err := ReadRecords(strings.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)

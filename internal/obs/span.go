@@ -70,9 +70,6 @@ type ArmRecord struct {
 	// Phases are the wall times of the arm's lifecycle stages, in the order
 	// they ran.
 	Phases []PhaseTiming `json:"phases,omitempty"`
-	// Retries counts in-place re-attempts beyond the first (transient
-	// failures that were retried before the arm concluded).
-	Retries int `json:"retries,omitempty"`
 	// Faults counts injected faults that fired during the arm (fault-test
 	// pipelines only; approximate when arms overlap, exact when serial).
 	Faults uint64 `json:"faults,omitempty"`
@@ -289,16 +286,6 @@ func (s *Span) Link(target SpanContext, kind string) {
 	s.frame.Links = append(s.frame.Links, SpanLink{
 		TraceID: target.TraceID, SpanID: target.SpanID, Kind: kind,
 	})
-}
-
-// AddRetry counts one in-place re-attempt, on the span and on the
-// registry's global retry counter.
-func (s *Span) AddRetry() {
-	if s == nil {
-		return
-	}
-	s.rec.Retries++
-	s.o.Counter(MRetries).Add(1)
 }
 
 // SetEvents records the arm's dynamic branch count.

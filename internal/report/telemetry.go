@@ -30,7 +30,7 @@ func TopOffenders(recs []obs.TopKRecord, n int) *Table {
 				fmt.Sprintf("%d", bc.MaxError))
 		}
 		if r.SitesDropped > 0 {
-			t.AddNote("%s: %d branch sites beyond the %d-site cap were not profiled",
+			t.AddNote("%s: %d executions of branches past the %d-site cap were not profiled",
 				r.Key(), r.SitesDropped, r.Sites)
 		}
 	}

@@ -23,7 +23,7 @@ func TestTopOffenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"0x4000", "0x4010", "w/test/gshare:8KB", "80.0%", "7 branch sites"} {
+	for _, want := range []string{"0x4000", "0x4010", "w/test/gshare:8KB", "80.0%", "7 executions of branches"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}

@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -206,12 +207,14 @@ func (s *Server) Submit(ctx context.Context, spec *serveapi.JobSpec) (*serveapi.
 			return nil, serveapi.Errorf(serveapi.CodeBadSpec, "%v", err)
 		}
 	}
-	arms := spec.Arms()
-	if len(arms) > s.maxArmsPerJob {
+	// Check the quota before expanding: every list may repeat a valid
+	// name, so a small body can describe a grid too large to allocate.
+	if n := gridSize(spec); n > s.maxArmsPerJob {
 		s.shed(tenant)
 		return nil, serveapi.Errorf(serveapi.CodeQuotaArms,
-			"job expands to %d arms, quota is %d per job; split the grid", len(arms), s.maxArmsPerJob)
+			"job expands to %d arms, quota is %d per job; split the grid", n, s.maxArmsPerJob)
 	}
+	arms := spec.Arms()
 
 	s.mu.Lock()
 	if s.draining {
@@ -269,6 +272,21 @@ func (s *Server) Submit(ctx context.Context, spec *serveapi.JobSpec) (*serveapi.
 	ack := &serveapi.Submitted{ID: j.id, Arms: len(arms), TraceID: j.traceID}
 	ack.Stamp()
 	return ack, nil
+}
+
+// gridSize is the number of arms the normalized spec (no list empty)
+// expands to, multiplied out without expanding it. The product saturates
+// at math.MaxInt: a request body of a few megabytes can hold lists whose
+// product overflows an int.
+func gridSize(spec *serveapi.JobSpec) int {
+	n := 1
+	for _, l := range [...]int{len(spec.Workloads), len(spec.Inputs), len(spec.Predictors), len(spec.Schemes)} {
+		if n > math.MaxInt/l {
+			return math.MaxInt
+		}
+		n *= l
+	}
+	return n
 }
 
 // shed records one load-shedding rejection, globally and per tenant.

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -248,6 +249,40 @@ func TestAdmissionControl(t *testing.T) {
 
 // TestSubmitValidation proves a bad spec is a submission-time typed error
 // naming the offending token, not N failed arms.
+// TestArmQuotaRefusedBeforeExpansion submits a 64×64×16 grid of repeated
+// valid names, far over the arm quota. The refusal must come before the
+// grid is expanded (65,536 arms, 4 MiB), so it costs little more than
+// validating the spec.
+func TestArmQuotaRefusedBeforeExpansion(t *testing.T) {
+	h := experiment.NewQuickHarness()
+	defer h.Close()
+	s, err := serve.New(serve.Config{Harness: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	repeat := func(name string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = name
+		}
+		return out
+	}
+	spec := &serveapi.JobSpec{Tenant: "mallory",
+		Workloads: repeat("compress", 64), Inputs: repeat("test", 64),
+		Predictors: repeat("gshare:1KB", 16)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = s.Submit(context.Background(), spec)
+	runtime.ReadMemStats(&after)
+	if !serveapi.IsCode(err, serveapi.CodeQuotaArms) {
+		t.Fatalf("err = %v, want code %s", err, serveapi.CodeQuotaArms)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 256<<10 {
+		t.Errorf("refused submit allocated %d B, want < 256 KiB", d)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	h := experiment.NewQuickHarness()
 	defer h.Close()

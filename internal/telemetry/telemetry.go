@@ -60,8 +60,10 @@ type Config struct {
 	TopK int
 	// SiteCap bounds the per-branch site table (0 means DefaultSiteCap). The
 	// cap trades per-branch histogram completeness for bounded memory;
-	// branches beyond it are counted in SitesDropped. They still rank in
-	// the top-K lists, with no site profile (Execs 0).
+	// every execution of a branch past it is counted in SitesDropped, so
+	// the count is of dynamic events, not of static branches. Such
+	// branches still rank in the top-K lists, with no site profile
+	// (Execs 0).
 	SiteCap int
 }
 
@@ -293,7 +295,8 @@ func (c *Collector) Branch(pc uint64, taken, correct, collided bool, conf predic
 }
 
 // addSite gives pc, which has no slot yet, the next one, or returns -1 and
-// counts pc in sitesDropped when the tracker already holds SiteCap sites.
+// counts this execution of pc in sitesDropped when the tracker already
+// holds SiteCap sites.
 func (c *Collector) addSite(pc uint64) int {
 	if c.idx.Len() >= c.cfg.SiteCap {
 		c.sitesDropped++

@@ -184,8 +184,10 @@ func TestTopKAndHistograms(t *testing.T) {
 	if rec.Sites != 8 {
 		t.Errorf("sites = %d, want 8 (capped)", rec.Sites)
 	}
-	if rec.SitesDropped == 0 {
-		t.Error("sites dropped = 0, want > 0")
+	// Sites 8–15 each execute 250 times past the cap: SitesDropped counts
+	// those executions, not the 8 branches.
+	if rec.SitesDropped != 2000 {
+		t.Errorf("sites dropped = %d, want 2000", rec.SitesDropped)
 	}
 	if rec.K != 4 {
 		t.Errorf("k = %d, want 4", rec.K)
