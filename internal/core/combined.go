@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"branchsim/internal/obs"
 	"branchsim/internal/pcslot"
 	"branchsim/internal/predictor"
 )
@@ -395,18 +396,19 @@ func (c *Combined) EnableTableStats() {
 }
 
 // Introspect implements predictor.Introspector, returning the dynamic
-// component's table snapshots (nil when it has none).
-func (c *Combined) Introspect() []predictor.TableStats {
+// component's table snapshots. A dynamic component with no tables yields an
+// empty, non-nil slice, so its journal samples read "tables":[].
+func (c *Combined) Introspect() []obs.TableStat {
 	if in, ok := c.dyn.(predictor.Introspector); ok {
 		return in.Introspect()
 	}
-	return nil
+	return []obs.TableStat{}
 }
 
 // IntrospectTagged implements predictor.TaggedIntrospector, returning the
 // dynamic component's tagged banks (nil when it has none). Hints keep no
 // banks, so the wrapper adds nothing.
-func (c *Combined) IntrospectTagged() []predictor.TaggedBankStats {
+func (c *Combined) IntrospectTagged() []obs.TaggedBankStat {
 	if tin, ok := c.dyn.(predictor.TaggedIntrospector); ok {
 		return tin.IntrospectTagged()
 	}

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -215,34 +212,4 @@ func (r *Registry) Snapshot() map[string]int64 {
 		}
 	}
 	return out
-}
-
-// WriteJSON writes the snapshot as a single JSON object with sorted keys —
-// the expvar-style dump served at /debug/vars.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	snap := r.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	// Build an ordered JSON object by hand: encoding/json randomizes no
-	// map order guarantees, and a stable dump diffs cleanly.
-	if _, err := io.WriteString(w, "{"); err != nil {
-		return err
-	}
-	for i, k := range keys {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		kb, _ := json.Marshal(k)
-		vb, _ := json.Marshal(snap[k])
-		if _, err := io.WriteString(w, "\n\t"+string(kb)+": "+string(vb)); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "\n}\n")
-	return err
 }

@@ -12,7 +12,9 @@ import (
 // over the last interval, replay and checkpoint cache efficiency, replay
 // memory occupancy — until the returned stop function is called. stop
 // prints one final line so short runs still report. A nil observer returns
-// a no-op stop.
+// a no-op stop. The status goes to w only: the live bus's ProgressRecords
+// come from Serve's pulse alone, so a served dashboard sees one rate
+// series, not two over different windows.
 func (o *Observer) StartProgress(w io.Writer, interval time.Duration) (stop func()) {
 	if o == nil || w == nil {
 		return noop
@@ -33,7 +35,6 @@ func (o *Observer) StartProgress(w io.Writer, interval time.Duration) (stop func
 			rate = float64(events-lastEvents) / dt
 		}
 		lastEvents, lastT = events, now
-		o.Publish(o.progressRecord(rate))
 		tag := "progress"
 		if final {
 			tag = "done    "

@@ -230,17 +230,18 @@ func (r *IntervalRecord) Accuracy() float64 {
 	return 1 - float64(r.DMispredicts)/float64(r.DBranches)
 }
 
-// TableStat is one counter table's state at a sampling instant, as
-// introspected by the predictor (predictor.TableStats mirrors this shape;
-// the obs package stays import-free of the predictor layer).
+// TableStat is one counter table's state at a sampling instant. Predictors
+// snapshot into it directly (predictor.Introspector), so it is the only
+// declaration of a table sample's shape.
 type TableStat struct {
 	// Name identifies the table within its predictor ("pht", "choice",
-	// "bim", "g0", "g1", "meta", ...).
+	// "dir_nt", "dir_t", "bim", "g0", "g1", "meta"; for the tagged and
+	// neural predictors "base", "t<histLen>" and "weights").
 	Name string `json:"name"`
 	// Entries is the table's capacity in counters.
 	Entries int `json:"entries"`
 	// Occupied counts entries that have been read at least once (known via
-	// the collision-instrumentation tags).
+	// the collision-instrumentation tags, which EnableTableStats turns on).
 	Occupied int `json:"occupied"`
 	// Counters is the 2-bit counter state distribution: how many entries
 	// currently hold 0 (strong not-taken) through 3 (strong taken).
@@ -252,7 +253,7 @@ type TableStat struct {
 	// switches — bucket 0 counts entries never re-claimed by a different
 	// branch, bucket k entries switched between 2^(k-1) and 2^k−1 times —
 	// the per-entry sharing degree behind the paper's collision counts.
-	// Trailing zero buckets are trimmed.
+	// Buckets sum to Entries; trailing zero buckets are trimmed.
 	SharingHist []uint64 `json:"sharing_hist,omitempty"`
 }
 
@@ -276,10 +277,10 @@ type TableStatsRecord struct {
 }
 
 // TaggedBankStat is one bank of a tagged or neural predictor at a sampling
-// instant, as introspected by the predictor (predictor.TaggedBankStats
-// mirrors this shape; the obs package stays import-free of the predictor
-// layer). The stream counters are cumulative since instrumentation was
-// enabled, not deltas.
+// instant. Predictors snapshot into it directly
+// (predictor.TaggedIntrospector), so it is the only declaration of a bank
+// sample's shape. The stream counters are cumulative since instrumentation
+// was enabled, not deltas.
 type TaggedBankStat struct {
 	// Name identifies the bank ("base", "t4" … "t64", "weights").
 	Name string `json:"name"`

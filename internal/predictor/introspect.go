@@ -3,41 +3,16 @@ package predictor
 import (
 	"math"
 	"math/bits"
-)
 
-// TableStats is one counter table's state snapshot, produced by Introspect.
-// The obs layer's TableStat mirrors this shape field-for-field so the two
-// packages need not import each other.
-type TableStats struct {
-	// Name identifies the table within its predictor ("pht", "choice",
-	// "dir_nt", "dir_t", "bim", "g0", "g1", "meta"; for the tagged/neural
-	// predictors "base", "t<histLen>" and "weights").
-	Name string
-	// Entries is the table's capacity in counters.
-	Entries int
-	// Occupied counts entries read at least once (known via the collision
-	// tags; EnableTableStats turns those on).
-	Occupied int
-	// Counters is the 2-bit counter state distribution: Counters[s] entries
-	// currently hold state s (0 strong not-taken … 3 strong taken).
-	Counters [4]uint64
-	// Entropy is the Shannon entropy of Counters in bits: 0 when every
-	// counter sits in one state, 2 at the uniform distribution. A trained
-	// biased table drifts toward low entropy; aliasing pressure keeps it up.
-	Entropy float64
-	// SharingHist is a log₂-bucketed histogram of per-entry ownership
-	// switches: bucket 0 counts entries never re-claimed by a different
-	// branch, bucket k entries with 2^(k-1) ≤ switches < 2^k. Buckets sum to
-	// Entries; the per-entry sharing degree behind the paper's collision
-	// counts.
-	SharingHist []uint64
-}
+	"branchsim/internal/obs"
+)
 
 // Introspector is implemented by predictors whose counter tables can be
 // sampled. EnableTableStats turns on the per-entry instrumentation the
 // snapshot needs (collision tags plus ownership-switch counts); Introspect
-// then snapshots every table. Sampling is O(entries) — callers take it at
-// interval boundaries, never per branch.
+// then snapshots every table straight into the journal's obs.TableStat, the
+// one declaration of a table sample. Sampling is O(entries) — callers take
+// it at interval boundaries, never per branch.
 //
 // Coverage: bimodal, ghist, gshare, bimode and 2bcgskew expose their 2-bit
 // PHTs directly; tage folds its 3-bit tagged banks onto the 2-bit scale
@@ -48,7 +23,7 @@ type TableStats struct {
 // predictors cannot silently fall out of telemetry.
 type Introspector interface {
 	EnableTableStats()
-	Introspect() []TableStats
+	Introspect() []obs.TableStat
 }
 
 // stats snapshots one table. Every interval seal walks every table, so the
@@ -59,8 +34,8 @@ type Introspector interface {
 // i%statLanes, and the lanes are summed at the end. Occupancy adds
 // branch-free: whether a tag is set follows the table's contents, which the
 // host cannot predict.
-func (t *table) stats(name string) TableStats {
-	s := TableStats{Name: name, Entries: len(t.ctr)}
+func (t *table) stats(name string) obs.TableStat {
+	s := obs.TableStat{Name: name, Entries: len(t.ctr)}
 	var ctr [statLanes][ctrMax + 1]uint64
 	c := t.ctr
 	i := 0
@@ -145,8 +120,8 @@ func (p *BiMode) EnableTableStats() {
 }
 
 // Introspect implements Introspector.
-func (p *BiMode) Introspect() []TableStats {
-	return []TableStats{
+func (p *BiMode) Introspect() []obs.TableStat {
+	return []obs.TableStat{
 		p.choice.stats("choice"),
 		p.direction[0].stats("dir_nt"),
 		p.direction[1].stats("dir_t"),
@@ -162,8 +137,8 @@ func (p *TwoBcGskew) EnableTableStats() {
 }
 
 // Introspect implements Introspector.
-func (p *TwoBcGskew) Introspect() []TableStats {
-	return []TableStats{
+func (p *TwoBcGskew) Introspect() []obs.TableStat {
+	return []obs.TableStat{
 		p.bim.stats("bim"),
 		p.g0.stats("g0"),
 		p.g1.stats("g1"),
@@ -183,12 +158,12 @@ func (t *TAGE) EnableTableStats() {
 // ((ctr+4)>>1, so -4/-3 → strong not-taken … 2/3 → strong taken) and counts
 // allocated entries (nonzero tag) as occupied. Full-resolution counter,
 // useful-bit and tag-flow state is in IntrospectTagged.
-func (t *TAGE) Introspect() []TableStats {
-	out := make([]TableStats, 0, len(t.comps)+1)
+func (t *TAGE) Introspect() []obs.TableStat {
+	out := make([]obs.TableStat, 0, len(t.comps)+1)
 	out = append(out, t.base.stats("base"))
 	for i := range t.comps {
 		c := &t.comps[i]
-		s := TableStats{Name: tageBankName(c.histLen), Entries: len(c.ctr)}
+		s := obs.TableStat{Name: tageBankName(c.histLen), Entries: len(c.ctr)}
 		for _, v := range c.ctr {
 			s.Counters[(int(v)+4)>>1]++
 		}
@@ -204,9 +179,9 @@ func (t *TAGE) Introspect() []TableStats {
 }
 
 // IntrospectTagged implements TaggedIntrospector.
-func (t *TAGE) IntrospectTagged() []TaggedBankStats {
-	out := make([]TaggedBankStats, 0, len(t.comps)+1)
-	base := TaggedBankStats{
+func (t *TAGE) IntrospectTagged() []obs.TaggedBankStat {
+	out := make([]obs.TaggedBankStat, 0, len(t.comps)+1)
+	base := obs.TaggedBankStat{
 		Name:     "base",
 		Entries:  t.base.entries(),
 		Provider: t.sBaseProv,
@@ -223,7 +198,7 @@ func (t *TAGE) IntrospectTagged() []TaggedBankStats {
 	out = append(out, base)
 	for i := range t.comps {
 		c := &t.comps[i]
-		b := TaggedBankStats{
+		b := obs.TaggedBankStat{
 			Name:       tageBankName(c.histLen),
 			Entries:    len(c.ctr),
 			HistLen:    c.histLen,
@@ -281,8 +256,8 @@ func (p *Perceptron) EnableTableStats() {
 // -64, weak not-taken below 0, weak taken below +64, strong taken above
 // (half saturation as the strong/weak boundary). The weight-magnitude and
 // margin detail is in IntrospectTagged.
-func (p *Perceptron) Introspect() []TableStats {
-	s := TableStats{Name: "weights", Entries: len(p.weights)}
+func (p *Perceptron) Introspect() []obs.TableStat {
+	s := obs.TableStat{Name: "weights", Entries: len(p.weights)}
 	for i := range p.weights {
 		switch w0 := p.weights[i][0]; {
 		case w0 <= -64:
@@ -301,12 +276,12 @@ func (p *Perceptron) Introspect() []TableStats {
 		}
 	}
 	s.Entropy = counterEntropy(s.Counters)
-	return []TableStats{s}
+	return []obs.TableStat{s}
 }
 
 // IntrospectTagged implements TaggedIntrospector.
-func (p *Perceptron) IntrospectTagged() []TaggedBankStats {
-	b := TaggedBankStats{
+func (p *Perceptron) IntrospectTagged() []obs.TaggedBankStat {
+	b := obs.TaggedBankStat{
 		Name:    "weights",
 		Entries: len(p.weights),
 		HistLen: p.histLen,
@@ -331,5 +306,5 @@ func (p *Perceptron) IntrospectTagged() []TaggedBankStats {
 			b.Occupied++
 		}
 	}
-	return []TaggedBankStats{b}
+	return []obs.TaggedBankStat{b}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"branchsim/internal/obs"
 	"branchsim/internal/xrand"
 )
 
@@ -96,8 +97,8 @@ func TestIntrospectAllPredictors(t *testing.T) {
 
 // naiveStats is table.stats written the plain way, one histogram per loop,
 // for TestTableStatsMatchesNaive to hold the laned version to.
-func naiveStats(t *table, name string) TableStats {
-	s := TableStats{Name: name, Entries: len(t.ctr)}
+func naiveStats(t *table, name string) obs.TableStat {
+	s := obs.TableStat{Name: name, Entries: len(t.ctr)}
 	for _, c := range t.ctr {
 		s.Counters[c&ctrMax]++
 	}

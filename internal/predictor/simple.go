@@ -1,6 +1,10 @@
 package predictor
 
-import "fmt"
+import (
+	"fmt"
+
+	"branchsim/internal/obs"
+)
 
 // pht is the single-table family the paper's three simplest predictors
 // belong to: one table of 2-bit counters indexed by
@@ -58,7 +62,7 @@ func (p *pht) LastCollision() bool { return p.collision }
 func (p *pht) EnableTableStats() { p.t.enableStats() }
 
 // Introspect implements Introspector.
-func (p *pht) Introspect() []TableStats { return []TableStats{p.t.stats("pht")} }
+func (p *pht) Introspect() []obs.TableStat { return []obs.TableStat{p.t.stats("pht")} }
 
 // Bimodal is the classic PC-indexed table of 2-bit saturating counters
 // (Smith). It exploits the fact that most branches are strongly biased in one

@@ -1,67 +1,18 @@
 package predictor
 
-// TaggedBankStats is one bank of a tagged or neural predictor, produced by
-// IntrospectTagged. Unlike TableStats (whose fixed 2-bit counter histogram
-// suits the paper's untagged PHTs) it carries the wider per-bank state these
-// predictors actually have — full-resolution counter and useful-bit
-// distributions, tag geometry, and cumulative stream counters for the
-// tag-hit/provider/allocation flow. The obs layer's TaggedBankStat mirrors
-// this shape field-for-field so the two packages need not import each other.
-//
-// The stream counters (Hits … AllocFails, and the perceptron margin
-// histogram) accumulate from EnableTableStats onward and are functions of
-// the branch stream alone — no wall-clock, no sampling — so journals built
-// from them stay byte-identical at any worker or batch setting.
-type TaggedBankStats struct {
-	// Name identifies the bank: "base" and "t<histLen>" for TAGE,
-	// "weights" for the perceptron.
-	Name string
-	// Entries is the bank's capacity (counters, or weight vectors).
-	Entries int
-	// HistLen is the bank's history length in bits (0 for the TAGE base).
-	HistLen int
-	// TagBits is the partial-tag width (0 for untagged banks).
-	TagBits int
-	// Occupied counts entries allocated (nonzero tag) or touched at least
-	// once (known via collision tags on untagged banks).
-	Occupied int
-	// Ctr is the counter-state histogram. TAGE tagged banks: 8 buckets for
-	// the 3-bit counter, Ctr[s] entries at state s-4 (-4 strong not-taken …
-	// 3 strong taken). TAGE base: the 4-bucket 2-bit distribution. The
-	// perceptron reuses it as the weight-magnitude histogram: bucket 0 zero
-	// weights, bucket k weights with 2^(k-1) ≤ |w| < 2^k.
-	Ctr []uint64
-	// Useful is the 2-bit useful-counter distribution (TAGE tagged banks
-	// only; nil elsewhere).
-	Useful []uint64
-	// Saturated counts weights pinned at ±max (perceptron only).
-	Saturated uint64
-	// Margin is a log₂-bucketed histogram of |dot product| over the branch
-	// stream (perceptron only): bucket 0 zero-margin predictions, bucket k
-	// predictions with 2^(k-1) ≤ |sum| < 2^k.
-	Margin []uint64
-	// Hits and Misses count tag matches and mismatches over the stream.
-	Hits   uint64
-	Misses uint64
-	// Provider counts predictions this bank provided; AltUsed the subset
-	// where the use-alt-on-newly-allocated policy overrode it.
-	Provider uint64
-	AltUsed  uint64
-	// Allocs counts entries this bank allocated on mispredictions;
-	// AllocFails the times its candidate entry refused (useful ≠ 0), i.e.
-	// the churn pressure behind the useful-bit decay.
-	Allocs     uint64
-	AllocFails uint64
-}
+import "branchsim/internal/obs"
 
 // TaggedIntrospector is implemented by predictors with tagged or neural
-// banks whose state exceeds what TableStats can express. EnableTableStats
-// (shared with Introspector) turns on the instrumentation; IntrospectTagged
-// snapshots every bank. Sampling is O(entries) — callers take it at
-// interval boundaries, never per branch.
+// banks whose state exceeds what a 2-bit obs.TableStat can express.
+// EnableTableStats (shared with Introspector) turns on the instrumentation;
+// IntrospectTagged snapshots every bank into the journal's
+// obs.TaggedBankStat. The stream counters accumulate from EnableTableStats
+// onward and are functions of the branch stream alone, so journals built
+// from them stay byte-identical at any worker or batch setting. Sampling is
+// O(entries) — callers take it at interval boundaries, never per branch.
 type TaggedIntrospector interface {
 	EnableTableStats()
-	IntrospectTagged() []TaggedBankStats
+	IntrospectTagged() []obs.TaggedBankStat
 }
 
 // trimHist drops trailing zero buckets, keeping at least one.

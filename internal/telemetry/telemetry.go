@@ -433,21 +433,10 @@ func (c *Collector) seal() {
 	c.o.Publish(&live)
 
 	if c.in != nil {
-		tables := c.in.Introspect()
 		ts := obs.TableStatsRecord{
 			Workload: c.workload, Input: c.input, Predictor: c.pred,
 			Seq: c.seq, Instructions: c.instr,
-			Tables: make([]obs.TableStat, 0, len(tables)),
-		}
-		for _, t := range tables {
-			ts.Tables = append(ts.Tables, obs.TableStat{
-				Name:        t.Name,
-				Entries:     t.Entries,
-				Occupied:    t.Occupied,
-				Counters:    t.Counters,
-				Entropy:     t.Entropy,
-				SharingHist: t.SharingHist,
-			})
+			Tables: c.in.Introspect(),
 		}
 		c.tableStats = append(c.tableStats, ts)
 		c.o.Counter(obs.MTelemetryTableSamples).Add(1)
@@ -456,30 +445,10 @@ func (c *Collector) seal() {
 	}
 
 	if c.tin != nil {
-		banks := c.tin.IntrospectTagged()
 		ts := obs.TaggedTableStatsRecord{
 			Workload: c.workload, Input: c.input, Predictor: c.pred,
 			Seq: c.seq, Instructions: c.instr,
-			Banks: make([]obs.TaggedBankStat, 0, len(banks)),
-		}
-		for _, b := range banks {
-			ts.Banks = append(ts.Banks, obs.TaggedBankStat{
-				Name:       b.Name,
-				Entries:    b.Entries,
-				HistLen:    b.HistLen,
-				TagBits:    b.TagBits,
-				Occupied:   b.Occupied,
-				Ctr:        b.Ctr,
-				Useful:     b.Useful,
-				Saturated:  b.Saturated,
-				Margin:     b.Margin,
-				Hits:       b.Hits,
-				Misses:     b.Misses,
-				Provider:   b.Provider,
-				AltUsed:    b.AltUsed,
-				Allocs:     b.Allocs,
-				AllocFails: b.AllocFails,
-			})
+			Banks: c.tin.IntrospectTagged(),
 		}
 		c.taggedStats = append(c.taggedStats, ts)
 		c.o.Counter(obs.MTelemetryTaggedSamples).Add(1)

@@ -147,6 +147,23 @@ func TestDecodeChunkMalformed(t *testing.T) {
 	}
 }
 
+// sameEvents fails t unless got replays want's branches and totals exactly.
+func sameEvents(t *testing.T, got, want *eventLog) {
+	t.Helper()
+	wantBr, gotBr := want.branches(), got.branches()
+	if len(wantBr) != len(gotBr) {
+		t.Fatalf("branch count: got %d, want %d", len(gotBr), len(wantBr))
+	}
+	for i := range wantBr {
+		if wantBr[i] != gotBr[i] {
+			t.Fatalf("branch %d: got %+v, want %+v", i, gotBr[i], wantBr[i])
+		}
+	}
+	if got.totals() != want.totals() {
+		t.Fatalf("totals: got %+v, want %+v", got.totals(), want.totals())
+	}
+}
+
 // twoChunkFile records a short stream as two ChunkWriter chunks and frames
 // them behind FramedFileHeader, the way the replay engine exports a trace.
 // It returns the file, both raw chunks and the recorded call sequence.
@@ -161,7 +178,7 @@ func twoChunkFile() (file, first, second []byte, want *eventLog) {
 	rec.Ops(3)
 	rec.Branch(1<<62, true) // large jump, still lossless
 	second = w.Cut()
-	file = AppendFrame(AppendFrame(FramedFileHeader(), first), second)
+	file = framedFile(first, second)
 	return file, first, second, want
 }
 
@@ -178,18 +195,7 @@ func TestChunkFileReader(t *testing.T) {
 	if _, err := r.Replay(&got); err != nil {
 		t.Fatal(err)
 	}
-	wantBr, gotBr := want.branches(), got.branches()
-	if len(wantBr) != len(gotBr) {
-		t.Fatalf("branch count: got %d, want %d", len(gotBr), len(wantBr))
-	}
-	for i := range wantBr {
-		if wantBr[i] != gotBr[i] {
-			t.Errorf("branch %d: got %+v, want %+v", i, gotBr[i], wantBr[i])
-		}
-	}
-	if got.totals() != want.totals() {
-		t.Errorf("totals: got %+v, want %+v", got.totals(), want.totals())
-	}
+	sameEvents(t, &got, want)
 }
 
 // fuzzEvents derives a deterministic event sequence from raw fuzz bytes:
@@ -260,19 +266,7 @@ func FuzzChunkRoundTrip(f *testing.F) {
 				t.Fatalf("decode: %v", err)
 			}
 		}
-		want := &eventLog{events: in}
-		wantBr, gotBr := want.branches(), got.branches()
-		if len(wantBr) != len(gotBr) {
-			t.Fatalf("branch count: got %d, want %d", len(gotBr), len(wantBr))
-		}
-		for i := range wantBr {
-			if wantBr[i] != gotBr[i] {
-				t.Fatalf("branch %d: got %+v, want %+v", i, gotBr[i], wantBr[i])
-			}
-		}
-		if got.totals() != want.totals() {
-			t.Fatalf("totals: got %+v, want %+v", got.totals(), want.totals())
-		}
+		sameEvents(t, &got, &eventLog{events: in})
 	})
 }
 
@@ -304,11 +298,11 @@ func FuzzDecodeChunk(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFramedChunk is the framed decoder's corruption contract: for an
-// arbitrary event stream, flipping any single bit of its encoded frame must
-// yield an error wrapping ErrCorrupt — never a panic, and never a silently
-// different record stream. With no flip, decode must reproduce the stream
-// exactly.
+// FuzzDecodeFramedChunk is the trace reader's corruption contract: for an
+// arbitrary event stream framed as a trace file, flipping any single bit of
+// its frame must yield an error wrapping ErrCorrupt — never a panic, and
+// never a silently different record stream. With no flip, the reader must
+// reproduce the stream exactly.
 func FuzzDecodeFramedChunk(f *testing.F) {
 	f.Add([]byte{}, uint32(0))
 	seed := make([]byte, 0, 64)
@@ -342,37 +336,28 @@ func FuzzDecodeFramedChunk(f *testing.F) {
 				w.Ops(e.ops)
 			}
 		}
-		payload := w.Cut()
-		frame := AppendFrame(nil, payload)
+		file := framedFile(w.Cut())
 
-		// Pristine decode reproduces the stream.
+		// Pristine replay reproduces the stream.
 		var got eventLog
-		if err := decodeFramedChunk(frame, &got); err != nil {
+		if err := replayFile(file, &got); err != nil {
 			t.Fatalf("pristine frame: %v", err)
 		}
-		want := &eventLog{events: in}
-		wantBr, gotBr := want.branches(), got.branches()
-		if len(wantBr) != len(gotBr) {
-			t.Fatalf("branch count: got %d, want %d", len(gotBr), len(wantBr))
-		}
-		for i := range wantBr {
-			if wantBr[i] != gotBr[i] {
-				t.Fatalf("branch %d: got %+v, want %+v", i, gotBr[i], wantBr[i])
-			}
-		}
-		if got.totals() != want.totals() {
-			t.Fatalf("totals: got %+v, want %+v", got.totals(), want.totals())
-		}
+		sameEvents(t, &got, &eventLog{events: in})
 
-		// Any single-bit flip is detected: CRC32C catches all 1-bit errors,
-		// and a flip inside the length varint either breaks the frame bound
-		// or the checksum.
-		bit := int(flip) % (len(frame) * 8)
-		mutated := append([]byte(nil), frame...)
+		// Any single-bit flip inside the frame is detected: CRC32C catches
+		// all 1-bit errors, and a flip inside the length varint either
+		// breaks the frame bound or the checksum.
+		head := len(FramedFileHeader())
+		bit := head*8 + int(flip)%((len(file)-head)*8)
+		mutated := append([]byte(nil), file...)
 		mutated[bit/8] ^= 1 << (bit % 8)
-		var rec Counts
-		if err := decodeFramedChunk(mutated, &rec); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("bit flip at %d: err = %v, want ErrCorrupt", bit, err)
+		var rec eventLog
+		if err := replayFile(mutated, &rec); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("bit flip at %d: err = %v, want ErrCorrupt", bit-head*8, err)
+		}
+		if len(rec.events) != 0 {
+			t.Fatalf("bit flip at %d: %d events of the corrupt frame delivered", bit-head*8, len(rec.events))
 		}
 	})
 }

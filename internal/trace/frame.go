@@ -63,36 +63,6 @@ func AppendFrameHeader(dst []byte, n int, crc uint32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
-// FrameOverhead returns the frame header size for a payload of n bytes:
-// the length varint plus the checksum.
-func FrameOverhead(n int) int {
-	return binary.PutUvarint(make([]byte, binary.MaxVarintLen64), uint64(n)) + frameCRCLen
-}
-
-// DecodeFrame reads one frame from the front of data, verifies its
-// checksum, and returns the payload and the remaining bytes. The payload
-// aliases data; copy it to retain it. A short, overlong or
-// checksum-mismatched frame returns an error wrapping ErrCorrupt.
-func DecodeFrame(data []byte) (payload, rest []byte, err error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("%w: frame length", ErrCorrupt)
-	}
-	if n > maxFramePayload {
-		return nil, nil, fmt.Errorf("%w: frame length %d exceeds limit", ErrCorrupt, n)
-	}
-	data = data[k:]
-	if len(data) < frameCRCLen+int(n) {
-		return nil, nil, fmt.Errorf("%w: truncated frame (want %d payload bytes, have %d)", ErrCorrupt, n, len(data)-frameCRCLen)
-	}
-	want := binary.LittleEndian.Uint32(data)
-	payload = data[frameCRCLen : frameCRCLen+int(n)]
-	if got := Checksum(payload); got != want {
-		return nil, nil, fmt.Errorf("%w: frame checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
-	}
-	return payload, data[frameCRCLen+int(n):], nil
-}
-
 // Verify checks payload against its stored CRC32C, returning an error
 // wrapping ErrCorrupt on mismatch.
 func Verify(payload []byte, crc uint32) error {

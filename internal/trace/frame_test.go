@@ -3,104 +3,110 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 )
 
-// decodeFramedChunk verifies one frame and replays its chunk payload into
-// rec. Corruption — of the frame or of the records inside it — returns an
-// error wrapping ErrCorrupt before rec sees a single event of the bad
-// chunk; trailing bytes after the frame are rejected too, so a framed
-// chunk either replays whole or not at all.
-func decodeFramedChunk(data []byte, rec Recorder) error {
-	payload, rest, err := DecodeFrame(data)
+// framedFile is a trace file holding one frame per payload, the way the
+// replay engine spills and exports a trace.
+func framedFile(payloads ...[]byte) []byte {
+	file := FramedFileHeader()
+	for _, p := range payloads {
+		file = AppendFrame(file, p)
+	}
+	return file
+}
+
+// replayFile replays a trace file into rec through the reader production
+// uses, returning the first error: a bad header, a failed frame or a
+// malformed chunk.
+func replayFile(file []byte, rec Recorder) error {
+	r, err := NewReader(bytes.NewReader(file))
 	if err != nil {
 		return err
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after frame", ErrCorrupt, len(rest))
-	}
-	return DecodeChunk(payload, rec)
+	_, err = r.Replay(rec)
+	return err
 }
 
-// testChunk encodes a small branch stream and returns the raw chunk.
-func testChunk(t *testing.T) []byte {
+// testChunk encodes a small branch stream and returns the raw chunk and
+// the recorded call sequence.
+func testChunk(t *testing.T) ([]byte, *eventLog) {
 	t.Helper()
 	var w ChunkWriter
-	w.Branch(0x1_2000_0000, true)
-	w.Ops(12)
-	w.Branch(0x1_2000_0010, false)
-	w.Branch(0x1_2000_0004, true)
+	want := &eventLog{}
+	rec := Tee(want, &w)
+	rec.Branch(0x1_2000_0000, true)
+	rec.Ops(12)
+	rec.Branch(0x1_2000_0010, false)
+	rec.Branch(0x1_2000_0004, true)
 	c := w.Cut()
 	if c == nil {
 		t.Fatal("empty chunk")
 	}
-	return c
+	return c, want
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	payload := testChunk(t)
-	frame := AppendFrame(nil, payload)
-	got, rest, err := DecodeFrame(frame)
-	if err != nil {
+	payload, want := testChunk(t)
+	var got eventLog
+	if err := replayFile(framedFile(payload), &got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload = %x, want %x", got, payload)
+	sameEvents(t, &got, want)
+	// Two concatenated frames replay in sequence.
+	twice := &eventLog{events: append(append([]event(nil), want.events...), want.events...)}
+	got = eventLog{}
+	if err := replayFile(framedFile(payload, payload), &got); err != nil {
+		t.Fatal(err)
 	}
-	if len(rest) != 0 {
-		t.Fatalf("rest = %d bytes, want 0", len(rest))
-	}
-	// Two concatenated frames decode in sequence.
-	two := AppendFrame(AppendFrame(nil, payload), payload)
-	first, rest, err := DecodeFrame(two)
-	if err != nil || !bytes.Equal(first, payload) {
-		t.Fatalf("first frame: %v", err)
-	}
-	second, rest, err := DecodeFrame(rest)
-	if err != nil || !bytes.Equal(second, payload) || len(rest) != 0 {
-		t.Fatalf("second frame: %v (rest %d)", err, len(rest))
-	}
+	sameEvents(t, &got, twice)
 }
 
+// TestFrameDetectsEverySingleBitFlip flips each bit of a frame in turn: the
+// reader reports ErrCorrupt and delivers none of the frame's events.
 func TestFrameDetectsEverySingleBitFlip(t *testing.T) {
-	payload := testChunk(t)
-	frame := AppendFrame(nil, payload)
-	var rec Counts
-	if err := decodeFramedChunk(frame, &rec); err != nil {
+	payload, _ := testChunk(t)
+	file := framedFile(payload)
+	head := len(FramedFileHeader())
+	if err := replayFile(file, Discard); err != nil {
 		t.Fatalf("pristine frame: %v", err)
 	}
-	for bit := 0; bit < len(frame)*8; bit++ {
-		mutated := append([]byte(nil), frame...)
+	for bit := head * 8; bit < len(file)*8; bit++ {
+		mutated := append([]byte(nil), file...)
 		mutated[bit/8] ^= 1 << (bit % 8)
-		var rec Counts
-		err := decodeFramedChunk(mutated, &rec)
+		var rec eventLog
+		err := replayFile(mutated, &rec)
 		if err == nil {
-			t.Fatalf("bit flip at %d went undetected", bit)
+			t.Fatalf("bit flip at %d went undetected", bit-head*8)
 		}
 		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("bit flip at %d: err = %v, want ErrCorrupt", bit, err)
+			t.Fatalf("bit flip at %d: err = %v, want ErrCorrupt", bit-head*8, err)
+		}
+		if len(rec.events) != 0 {
+			t.Fatalf("bit flip at %d: %d events of the corrupt frame delivered", bit-head*8, len(rec.events))
 		}
 	}
 }
 
+// TestFrameTornTail cuts a file at every byte inside its frame: each cut is
+// corruption, not a clean end of the trace.
 func TestFrameTornTail(t *testing.T) {
-	payload := testChunk(t)
-	frame := AppendFrame(nil, payload)
-	for cut := 1; cut < len(frame); cut++ {
-		var rec Counts
-		err := decodeFramedChunk(frame[:cut], &rec)
+	payload, _ := testChunk(t)
+	file := framedFile(payload)
+	head := len(FramedFileHeader())
+	for cut := head + 1; cut < len(file); cut++ {
+		err := replayFile(file[:cut], Discard)
 		if err == nil {
-			t.Fatalf("torn frame of %d/%d bytes accepted", cut, len(frame))
+			t.Fatalf("torn frame of %d/%d bytes accepted", cut-head, len(file)-head)
 		}
 		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("torn frame of %d bytes: err = %v, want ErrCorrupt", cut, err)
+			t.Fatalf("torn frame of %d bytes: err = %v, want ErrCorrupt", cut-head, err)
 		}
 	}
 }
 
 func TestVerify(t *testing.T) {
-	payload := testChunk(t)
+	payload, _ := testChunk(t)
 	if err := Verify(payload, Checksum(payload)); err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +133,12 @@ func TestMalformedChunkIsCorrupt(t *testing.T) {
 // surfaces as ErrCorrupt with zero events delivered from the corrupt chunk,
 // and a torn tail is corruption, not a clean end.
 func TestFramedFileReader(t *testing.T) {
-	file, first, second, _ := twoChunkFile()
+	file, _, second, _ := twoChunkFile()
 
 	// Corrupt one payload byte of the second frame: the first chunk's
 	// events replay, then the reader reports corruption.
-	headerLen := len(FramedFileHeader())
-	firstFrame := AppendFrame(nil, first)
 	mutated := append([]byte(nil), file...)
-	mutated[headerLen+len(firstFrame)+FrameOverhead(len(second))] ^= 0x01
+	mutated[len(file)-len(second)] ^= 0x01
 	r, err := NewReader(bytes.NewReader(mutated))
 	if err != nil {
 		t.Fatal(err)
