@@ -1,12 +1,13 @@
-// Command bpalias prints the interference structure of a predictor table
-// over a workload: the most-conflicting branch pairs, the branches that
-// suffer most destructive sharing, and the overall constructive/destructive
-// split — the pair-level view behind the paper's collision counts.
+// Command bpalias prints the interference structure of a predictor over a
+// workload: the most-conflicting branch pairs, the branches that suffer most
+// destructive sharing, and the overall constructive/destructive split — the
+// pair-level view behind the paper's collision counts, which its totals
+// equal.
 //
 // Examples:
 //
-//	bpalias -workload gcc -input train -scheme gshare -size 4KB -top 15
-//	bpalias -workload gcc -scheme gshare -size 4KB -heatmap gcc_alias.svg
+//	bpalias -workload gcc -input train -predictor gshare:4KB -top 15
+//	bpalias -workload gcc -predictor tage:8KB -heatmap gcc_alias.svg
 package main
 
 import (
@@ -19,7 +20,6 @@ import (
 
 	"branchsim/internal/alias"
 	"branchsim/internal/plot"
-	"branchsim/internal/predictor"
 	"branchsim/internal/workload"
 )
 
@@ -27,26 +27,21 @@ func main() {
 	var (
 		wl      = flag.String("workload", "gcc", "workload name")
 		input   = flag.String("input", "train", "workload input")
-		scheme  = flag.String("scheme", "gshare", "indexing scheme: bimodal, ghist, gshare, tage or perceptron")
-		size    = flag.String("size", "4KB", "table size")
+		spec    = flag.String("predictor", "gshare:4KB", "predictor spec, e.g. 2bcgskew:8KB")
 		top     = flag.Int("top", 15, "number of pairs/victims to print (also the heatmap dimension)")
 		heatmap = flag.String("heatmap", "", "also render the victims×aggressors conflict matrix as an SVG heatmap to this file")
 	)
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *wl, *input, *scheme, *size, *top, *heatmap); err != nil {
+	if err := run(ctx, *wl, *input, *spec, *top, *heatmap); err != nil {
 		fmt.Fprintln(os.Stderr, "bpalias:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, wl, input, scheme, size string, top int, heatmapPath string) error {
-	bytes, err := predictor.ParseSize(size)
-	if err != nil {
-		return err
-	}
-	a, err := alias.NewAnalyzer(scheme, bytes)
+func run(ctx context.Context, wl, input, spec string, top int, heatmapPath string) error {
+	a, err := alias.NewAnalyzer(spec)
 	if err != nil {
 		return err
 	}
@@ -54,46 +49,43 @@ func run(ctx context.Context, wl, input, scheme, size string, top int, heatmapPa
 		return err
 	}
 
-	fmt.Printf("%s on %s/%s: %d branches, %d cross-branch conflicts (%.1f%% of lookups), %.1f%% between opposed branches\n\n",
-		a.Scheme(), wl, input, a.Branches, a.Conflicts,
-		100*float64(a.Conflicts)/float64(a.Lookups), 100*a.OpposedFraction())
+	fmt.Printf("%s on %s/%s: %d branches, %d collided (%.1f%%), %d destructive (%.1f%% of collisions)\n\n",
+		a.Spec(), wl, input, a.Branches, a.Conflicts, percent(a.Conflicts, a.Branches),
+		a.Destructive, percent(a.Destructive, a.Conflicts))
 	if d := a.Dropped(); d > 0 {
 		fmt.Printf("warning: %d conflicts unattributed (pair table full)\n\n", d)
 	}
 
-	if banks := a.Banks(); len(banks) > 1 {
-		fmt.Printf("per-bank conflicts:\n%-10s %10s %8s %12s %10s\n",
-			"bank", "entries", "hist", "conflicts", "rate")
-		for _, b := range banks {
-			fmt.Printf("%-10s %10d %8d %12d %9.1f%%\n",
-				b.Name, b.Entries, b.HistLen, b.Conflicts,
-				100*float64(b.Conflicts)/float64(a.Branches))
+	if tables := a.Tables(); len(tables) > 1 {
+		fmt.Printf("per-table conflicts:\n%-10s %12s %10s\n", "table", "conflicts", "rate")
+		for _, t := range tables {
+			fmt.Printf("%-10s %12d %9.1f%%\n", t.Name, t.Conflicts, percent(t.Conflicts, a.Branches))
 		}
 		fmt.Println()
 	}
 
-	fmt.Printf("top interference pairs:\n%-14s %-14s %10s %10s %7s %7s\n",
-		"victim", "aggressor", "conflicts", "opposed", "biasV", "biasA")
+	fmt.Printf("top interference pairs:\n%-14s %-14s %10s %12s %7s %7s\n",
+		"victim", "aggressor", "conflicts", "destructive", "biasV", "biasA")
 	for _, p := range a.TopPairs(top) {
-		fmt.Printf("%#-14x %#-14x %10d %10d %6.1f%% %6.1f%%\n",
-			p.Victim, p.Aggressor, p.Count, p.Opposed,
+		fmt.Printf("%#-14x %#-14x %10d %12d %6.1f%% %6.1f%%\n",
+			p.Victim, p.Aggressor, p.Count, p.Destructive,
 			100*a.Bias(p.Victim), 100*a.Bias(p.Aggressor))
 	}
 
-	fmt.Printf("\nmost-afflicted victims (static-prediction candidates):\n%-14s %10s %10s %7s\n",
-		"victim", "conflicts", "opposed", "bias")
+	fmt.Printf("\nmost-afflicted victims (static-prediction candidates):\n%-14s %10s %12s %7s\n",
+		"victim", "conflicts", "destructive", "bias")
 	victims := a.VictimTotals()
 	if top > 0 && len(victims) > top {
 		victims = victims[:top]
 	}
 	for _, v := range victims {
-		fmt.Printf("%#-14x %10d %10d %6.1f%%\n", v.Victim, v.Count, v.Opposed, 100*a.Bias(v.Victim))
+		fmt.Printf("%#-14x %10d %12d %6.1f%%\n", v.Victim, v.Count, v.Destructive, 100*a.Bias(v.Victim))
 	}
 
 	if heatmapPath != "" {
 		m := a.Matrix(top)
 		labels := m.Labels()
-		h := plot.NewHeatmap(fmt.Sprintf("Aliasing conflicts: %s on %s/%s", a.Scheme(), wl, input), labels, labels)
+		h := plot.NewHeatmap(fmt.Sprintf("Aliasing conflicts: %s on %s/%s", a.Spec(), wl, input), labels, labels)
 		h.XLabel = "aggressor"
 		h.YLabel = "victim"
 		for vi := range m.Counts {
@@ -113,4 +105,12 @@ func run(ctx context.Context, wl, input, scheme, size string, top int, heatmapPa
 		fmt.Println(")")
 	}
 	return nil
+}
+
+// percent is n as a percentage of total, 0 for an empty total.
+func percent(n, total uint64) float64 {
+	if total == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(total)
 }

@@ -2,101 +2,119 @@ package alias
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"branchsim/internal/predictor"
+	"branchsim/internal/sim"
 	"branchsim/internal/workload"
 )
 
+// lockstep feeds one stream to a collision-tracking sim.Runner and to an
+// Analyzer over the same spec, and records the first event at which the
+// analyzer's per-event conflict disagrees with the runner predictor's
+// LastCollision.
+type lockstep struct {
+	r        *sim.Runner
+	col      predictor.Collider // the runner's predictor; nil when it reads no table
+	a        *Analyzer
+	events   uint64
+	mismatch string
+}
+
+func (l *lockstep) Branch(pc uint64, taken bool) {
+	l.r.Branch(pc, taken)
+	before := l.a.Conflicts
+	l.a.Branch(pc, taken)
+	got, want := l.a.Conflicts != before, l.col != nil && l.col.LastCollision()
+	if got != want && l.mismatch == "" {
+		l.mismatch = fmt.Sprintf("event %d (pc %#x): analyzer conflict %v, LastCollision %v", l.events, pc, got, want)
+	}
+	l.events++
+}
+
+func (l *lockstep) Ops(n uint64) { l.r.Ops(n) }
+
 func TestAnalyzerRejectsUnknownScheme(t *testing.T) {
-	if _, err := NewAnalyzer("neural-net", 1024); err == nil {
+	if _, err := NewAnalyzer("neural-net:1KB"); err == nil {
 		t.Fatal("unsupported scheme accepted")
 	}
 }
 
-// TestTAGEBankGeometry: the tage model builds the same banks NewTAGE would
-// for the budget — a base plus one component per geometric history length.
-func TestTAGEBankGeometry(t *testing.T) {
-	a, err := NewAnalyzer("tage", 1<<12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	banks := a.Banks()
-	if len(banks) != 6 {
-		t.Fatalf("got %d banks, want 6", len(banks))
-	}
-	if banks[0].Name != "base" || banks[0].HistLen != 0 {
-		t.Errorf("bank 0 = %+v, want history-free base", banks[0])
-	}
-	wantHL := []int{4, 8, 16, 32, 64}
-	for i, b := range banks[1:] {
-		if b.HistLen != wantHL[i] {
-			t.Errorf("bank %s: histLen %d, want %d", b.Name, b.HistLen, wantHL[i])
-		}
-		if b.Entries&(b.Entries-1) != 0 || b.Entries < 2 {
-			t.Errorf("bank %s: %d entries, want a power of two >= 2", b.Name, b.Entries)
+// TestAnalyzerMatchesSimCollisions holds the analyzer to the simulator's
+// collision count for every registered scheme: per event its conflict flag
+// equals the live predictor's LastCollision with tracking on, and its
+// conflict and destructive totals equal sim.Metrics.Collisions.
+func TestAnalyzerMatchesSimCollisions(t *testing.T) {
+	for _, wl := range []string{"compress", "gcc", "go"} {
+		for _, name := range predictor.Names() {
+			for _, size := range []string{"1KB", "8KB"} {
+				spec := name + ":" + size
+				t.Run(wl+"/"+spec, func(t *testing.T) {
+					t.Parallel()
+					p := predictor.MustNew(spec)
+					col, _ := p.(predictor.Collider)
+					a, err := NewAnalyzer(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					l := &lockstep{r: sim.NewRunner(p, sim.WithCollisions()), col: col, a: a}
+					if err := workload.Run(context.Background(), wl, workload.InputTest, l); err != nil {
+						t.Fatal(err)
+					}
+					if l.mismatch != "" {
+						t.Error(l.mismatch)
+					}
+					m := l.r.Metrics()
+					got := [3]uint64{a.Branches, a.Conflicts, a.Destructive}
+					want := [3]uint64{m.Branches, m.Collisions.Total, m.Collisions.Destructive}
+					if got != want {
+						t.Errorf("analyzer branches, conflicts, destructive = %v, simulator %v", got, want)
+					}
+				})
+			}
 		}
 	}
 }
 
-// TestTAGEMultiBankConflicts: two branches with equal low PC bits collide in
-// the base bank; conflicts are attributed per bank and summed into the
-// analyzer totals, with Lookups counting every bank probe.
+// TestTAGEMultiBankConflicts: two branches whose addresses differ only far
+// above any table's index bits share tage's base entry; conflicts are
+// attributed per table, and every table conflict is charged to a pair.
 func TestTAGEMultiBankConflicts(t *testing.T) {
-	a, err := NewAnalyzer("tage", 1<<10)
+	a, err := NewAnalyzer("tage:1KB")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := a.Banks()[0]
 	pcA := uint64(0x1000)
-	pcB := pcA + uint64(base.Entries)*4 // same base index
+	pcB := pcA + 4<<20 // same base index at any size this test could pick
 	for i := 0; i < 50; i++ {
 		a.Branch(pcA, true)
 		a.Branch(pcB, false)
 	}
-	if a.Lookups != a.Branches*uint64(len(a.Banks())) {
-		t.Errorf("lookups = %d, want branches (%d) x banks (%d)", a.Lookups, a.Branches, len(a.Banks()))
+	var base, sum uint64
+	for _, tb := range a.Tables() {
+		sum += tb.Conflicts
+		if tb.Name == "base" {
+			base = tb.Conflicts
+		}
 	}
-	if base.Conflicts == 0 {
-		t.Error("no base-bank conflicts between branches sharing a base index")
+	if base == 0 {
+		t.Error("no base-table conflicts between branches sharing a base index")
 	}
-	var sum uint64
-	for _, b := range a.Banks() {
-		sum += b.Conflicts
+	var pairs uint64
+	for _, p := range a.TopPairs(0) {
+		pairs += p.Count
 	}
-	if sum != a.Conflicts {
-		t.Errorf("per-bank conflicts sum to %d, total says %d", sum, a.Conflicts)
+	if pairs != sum {
+		t.Errorf("pairs carry %d conflicts, tables %d", pairs, sum)
 	}
-	if len(a.TopPairs(0)) == 0 {
-		t.Error("no interference pairs attributed")
-	}
-}
-
-// TestPerceptronHistoryFreeIndex: perceptron interference is a PC-hash
-// property, so branches whose hashes differ never conflict regardless of
-// history, and the model has exactly one bank.
-func TestPerceptronHistoryFreeIndex(t *testing.T) {
-	a, err := NewAnalyzer("perceptron", 1<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Banks()) != 1 || a.Banks()[0].Name != "weights" {
-		t.Fatalf("banks = %+v, want one weights bank", a.Banks())
-	}
-	b := a.Banks()[0]
-	pcA := uint64(0x1000)
-	pcB := pcA + uint64(b.Entries)*4<<9 // differs only above the hash fold
-	for i := 0; i < 100; i++ {
-		a.Branch(pcA, i%2 == 0)
-		a.Branch(pcB, i%3 == 0)
-	}
-	// Same vector iff the hashes collide; either way totals must reconcile.
-	if b.Conflicts != a.Conflicts {
-		t.Errorf("single-bank conflicts %d != total %d", b.Conflicts, a.Conflicts)
+	if a.Conflicts == 0 || a.Conflicts > sum {
+		t.Errorf("%d conflicting branches against %d table conflicts", a.Conflicts, sum)
 	}
 }
 
 func TestBimodalConflictDetection(t *testing.T) {
-	a, err := NewAnalyzer("bimodal", 16) // 64 entries
+	a, err := NewAnalyzer("bimodal:16B") // 64 entries
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,48 +122,61 @@ func TestBimodalConflictDetection(t *testing.T) {
 	pcB := pcA + 64*4 // same bimodal index
 	pcC := pcA + 4    // different index
 
-	a.Branch(pcA, true)
-	a.Branch(pcC, true) // no conflict
-	a.Branch(pcB, false)
-	a.Branch(pcA, true)
+	// Counter 0 starts at 1 (weakly not taken).
+	a.Branch(pcA, true)  // predicts N, wrong; first use, no conflict; ctr 2
+	a.Branch(pcC, true)  // no conflict
+	a.Branch(pcB, false) // predicts T, wrong: destructive; ctr 1
+	a.Branch(pcA, true)  // predicts N, wrong: destructive
 
-	if a.Conflicts != 2 {
-		t.Fatalf("conflicts = %d, want 2 (B evicts A, A evicts B)", a.Conflicts)
+	if a.Conflicts != 2 || a.Destructive != 2 {
+		t.Fatalf("conflicts = %d, destructive = %d, want 2 and 2 (B evicts A, A evicts B)", a.Conflicts, a.Destructive)
 	}
 	pairs := a.TopPairs(0)
 	if len(pairs) != 2 {
 		t.Fatalf("pairs = %v", pairs)
 	}
-	// both conflicts are between opposite-direction branches
 	for _, p := range pairs {
-		if p.Opposed != p.Count {
-			t.Fatalf("opposition not detected: %+v", p)
+		if p.Destructive != p.Count {
+			t.Fatalf("destructive conflict not attributed: %+v", p)
 		}
-	}
-	if f := a.OpposedFraction(); f != 1 {
-		t.Fatalf("opposed fraction = %v", f)
 	}
 }
 
-func TestSameDirectionConflictIsNotOpposed(t *testing.T) {
-	a, _ := NewAnalyzer("bimodal", 16)
+// TestConstructiveConflictIsNotDestructive: a conflict whose prediction was
+// right is constructive, whatever the two branches' directions; one whose
+// prediction was wrong is destructive.
+func TestConstructiveConflictIsNotDestructive(t *testing.T) {
+	a, _ := NewAnalyzer("bimodal:16B")
 	pcA, pcB := uint64(0x1000), uint64(0x1000+64*4)
+	// A's first execution mispredicts on a fresh entry; from then on the
+	// shared counter predicts taken, and every conflict is right.
 	for i := 0; i < 4; i++ {
 		a.Branch(pcA, true)
 		a.Branch(pcB, true)
 	}
-	if a.Conflicts == 0 {
-		t.Fatal("no conflicts on a shared entry")
+	if a.Conflicts != 7 || a.Destructive != 0 {
+		t.Fatalf("conflicts = %d, destructive = %d, want 7 constructive", a.Conflicts, a.Destructive)
 	}
-	if f := a.OpposedFraction(); f != 0 {
-		t.Fatalf("same-direction conflicts marked opposed (%.2f)", f)
+	a.Branch(pcA, true)  // constructive
+	a.Branch(pcB, false) // the saturated counter predicts taken: destructive
+	if a.Conflicts != 9 || a.Destructive != 1 {
+		t.Fatalf("conflicts = %d, destructive = %d, want 9 and 1", a.Conflicts, a.Destructive)
+	}
+	for _, p := range a.TopPairs(0) {
+		want := uint64(0)
+		if p.Victim == pcB {
+			want = 1
+		}
+		if p.Destructive != want {
+			t.Errorf("pair %+v: destructive %d, want %d", p, p.Destructive, want)
+		}
 	}
 }
 
 func TestGshareHistorySpreadsConflicts(t *testing.T) {
 	// With gshare indexing, one branch with varying history self-spreads;
 	// cross-branch conflicts appear when histories align entries.
-	a, _ := NewAnalyzer("gshare", 8) // 32 entries
+	a, _ := NewAnalyzer("gshare:8B") // 32 entries
 	for i := 0; i < 4000; i++ {
 		a.Branch(0x100, i%3 == 0)
 		a.Branch(0x104, i%2 == 0)
@@ -160,7 +191,7 @@ func TestGshareHistorySpreadsConflicts(t *testing.T) {
 }
 
 func TestVictimTotalsAggregates(t *testing.T) {
-	a, _ := NewAnalyzer("bimodal", 16)
+	a, _ := NewAnalyzer("bimodal:16B")
 	pcA, pcB, pcC := uint64(0x1000), uint64(0x1000+64*4), uint64(0x1000+128*4)
 	for i := 0; i < 3; i++ {
 		a.Branch(pcA, true)
@@ -182,7 +213,7 @@ func TestVictimTotalsAggregates(t *testing.T) {
 
 func TestTopPairsDeterministicOrder(t *testing.T) {
 	build := func() []Pair {
-		a, _ := NewAnalyzer("bimodal", 8)
+		a, _ := NewAnalyzer("bimodal:8B")
 		for i := 0; i < 50; i++ {
 			a.Branch(uint64(0x1000+(i%7)*32*4), i%2 == 0)
 		}
@@ -197,7 +228,7 @@ func TestTopPairsDeterministicOrder(t *testing.T) {
 }
 
 func TestBiasTracking(t *testing.T) {
-	a, _ := NewAnalyzer("bimodal", 1024)
+	a, _ := NewAnalyzer("bimodal:1KB")
 	for i := 0; i < 10; i++ {
 		a.Branch(0x40, i < 9)
 	}
@@ -210,7 +241,7 @@ func TestBiasTracking(t *testing.T) {
 }
 
 func TestAnalyzerOnRealWorkload(t *testing.T) {
-	a, err := NewAnalyzer("gshare", 1024)
+	a, err := NewAnalyzer("gshare:1KB")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +258,7 @@ func TestAnalyzerOnRealWorkload(t *testing.T) {
 	if a.Dropped() != 0 {
 		t.Fatalf("pair map overflowed on a small run: %d dropped", a.Dropped())
 	}
-	if f := a.OpposedFraction(); f <= 0 || f >= 1 {
-		t.Fatalf("opposed fraction %v out of (0,1)", f)
+	if a.Destructive == 0 || a.Destructive >= a.Conflicts {
+		t.Fatalf("%d of %d conflicts destructive, want a proper share", a.Destructive, a.Conflicts)
 	}
 }

@@ -14,10 +14,9 @@ type Matrix struct {
 	// PCs labels both axes, hottest branch first.
 	PCs []uint64
 	// Counts[v][a] is how often victim PCs[v] conflicted with aggressor
-	// PCs[a]; Opposed counts the destructive subset (majority directions
-	// disagreed).
-	Counts  [][]uint64
-	Opposed [][]uint64
+	// PCs[a]; Destructive counts the subset whose prediction was wrong.
+	Counts      [][]uint64
+	Destructive [][]uint64
 	// Dropped counts conflicts attributed to pairs with at least one branch
 	// outside the top-n set.
 	Dropped uint64
@@ -50,13 +49,13 @@ func (a *Analyzer) Matrix(n int) *Matrix {
 		idx[pc] = i
 	}
 	m := &Matrix{
-		PCs:     pcs,
-		Counts:  make([][]uint64, len(pcs)),
-		Opposed: make([][]uint64, len(pcs)),
+		PCs:         pcs,
+		Counts:      make([][]uint64, len(pcs)),
+		Destructive: make([][]uint64, len(pcs)),
 	}
 	for i := range m.Counts {
 		m.Counts[i] = make([]uint64, len(pcs))
-		m.Opposed[i] = make([]uint64, len(pcs))
+		m.Destructive[i] = make([]uint64, len(pcs))
 	}
 	for _, p := range a.pairs {
 		vi, okV := idx[p.Victim]
@@ -66,7 +65,7 @@ func (a *Analyzer) Matrix(n int) *Matrix {
 			continue
 		}
 		m.Counts[vi][ai] += p.Count
-		m.Opposed[vi][ai] += p.Opposed
+		m.Destructive[vi][ai] += p.Destructive
 	}
 	return m
 }

@@ -3,7 +3,7 @@ package alias
 import "testing"
 
 func TestMatrixBuildsConflictGrid(t *testing.T) {
-	a, err := NewAnalyzer("bimodal", 16) // 64 entries
+	a, err := NewAnalyzer("bimodal:16B") // 64 entries
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +32,10 @@ func TestMatrixBuildsConflictGrid(t *testing.T) {
 	if m.Counts[ai][ai] != 0 || m.Counts[bi][bi] != 0 {
 		t.Fatal("diagonal must stay zero: a branch cannot conflict with itself")
 	}
-	// opposite-direction pair, so every conflict is opposed
-	if m.Opposed[bi][ai] != m.Counts[bi][ai] || m.Opposed[ai][bi] != m.Counts[ai][bi] {
-		t.Fatalf("Opposed = %v, want all conflicts opposed", m.Opposed)
+	// the pair flips the shared counter each time, so every conflict
+	// mispredicts
+	if m.Destructive[bi][ai] != m.Counts[bi][ai] || m.Destructive[ai][bi] != m.Counts[ai][bi] {
+		t.Fatalf("Destructive = %v, want all conflicts destructive", m.Destructive)
 	}
 	if m.Dropped != 0 {
 		t.Fatalf("Dropped = %d, want 0", m.Dropped)
@@ -45,7 +46,7 @@ func TestMatrixBuildsConflictGrid(t *testing.T) {
 }
 
 func TestMatrixTopNDropsColdPairs(t *testing.T) {
-	a, _ := NewAnalyzer("bimodal", 16)
+	a, _ := NewAnalyzer("bimodal:16B")
 	hotA, hotB := uint64(0x1000), uint64(0x1000+64*4)
 	coldA, coldB := uint64(0x2004), uint64(0x2004+64*4) // different entry than the hot pair
 	for i := 0; i < 10; i++ {
@@ -71,7 +72,7 @@ func TestMatrixTopNDropsColdPairs(t *testing.T) {
 
 func TestMatrixRankingIsDeterministic(t *testing.T) {
 	build := func() *Matrix {
-		a, _ := NewAnalyzer("bimodal", 16)
+		a, _ := NewAnalyzer("bimodal:16B")
 		for i := 0; i < 3; i++ {
 			a.Branch(0x1000, true)
 			a.Branch(0x1000+64*4, false)

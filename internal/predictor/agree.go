@@ -120,3 +120,8 @@ func (p *Agree) EnableCollisionTracking() { p.t.enableTags() }
 
 // LastCollision implements Collider.
 func (p *Agree) LastCollision() bool { return p.collision }
+
+// LastEntries implements EntryReporter.
+func (p *Agree) LastEntries(_ uint64, dst []Entry) []Entry {
+	return append(dst, p.t.entry("pht", p.lIdx))
+}

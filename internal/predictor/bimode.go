@@ -137,3 +137,9 @@ func (p *BiMode) EnableCollisionTracking() {
 
 // LastCollision implements Collider.
 func (p *BiMode) LastCollision() bool { return p.collision }
+
+// LastEntries implements EntryReporter.
+func (p *BiMode) LastEntries(_ uint64, dst []Entry) []Entry {
+	return append(dst, p.choice.entry("choice", p.lChoiceIdx),
+		p.direction[p.lChoice].entry([2]string{"dir_nt", "dir_t"}[p.lChoice], p.lDirIdx))
+}

@@ -134,3 +134,11 @@ func (p *GSkew) EnableCollisionTracking() {
 
 // LastCollision implements Collider.
 func (p *GSkew) LastCollision() bool { return p.collision }
+
+// LastEntries implements EntryReporter.
+func (p *GSkew) LastEntries(_ uint64, dst []Entry) []Entry {
+	for i, b := range p.banks {
+		dst = append(dst, b.entry([3]string{"bank0", "bank1", "bank2"}[i], p.lIdx[i]))
+	}
+	return dst
+}

@@ -163,7 +163,7 @@ func (t *TAGE) Introspect() []obs.TableStat {
 	out = append(out, t.base.stats("base"))
 	for i := range t.comps {
 		c := &t.comps[i]
-		s := obs.TableStat{Name: tageBankName(c.histLen), Entries: len(c.ctr)}
+		s := obs.TableStat{Name: tageBankNames[i], Entries: len(c.ctr)}
 		for _, v := range c.ctr {
 			s.Counters[(int(v)+4)>>1]++
 		}
@@ -199,7 +199,7 @@ func (t *TAGE) IntrospectTagged() []obs.TaggedBankStat {
 	for i := range t.comps {
 		c := &t.comps[i]
 		b := obs.TaggedBankStat{
-			Name:       tageBankName(c.histLen),
+			Name:       tageBankNames[i],
 			Entries:    len(c.ctr),
 			HistLen:    c.histLen,
 			TagBits:    c.tagBits,
@@ -226,20 +226,6 @@ func (t *TAGE) IntrospectTagged() []obs.TaggedBankStat {
 		out = append(out, b)
 	}
 	return out
-}
-
-// tageBankName names a tagged bank after its history length ("t4" … "t64").
-func tageBankName(histLen int) string {
-	// Avoids fmt: this runs at every table-stats interval boundary.
-	buf := [8]byte{'t'}
-	n := 1
-	if histLen >= 10 {
-		buf[n] = byte('0' + histLen/10)
-		n++
-	}
-	buf[n] = byte('0' + histLen%10)
-	n++
-	return string(buf[:n])
 }
 
 // EnableTableStats implements Introspector and TaggedIntrospector: it turns

@@ -190,6 +190,54 @@ func TestEveryRegisteredSpecIntrospects(t *testing.T) {
 	}
 }
 
+// tagFree lists the registered schemes that read no table, so they neither
+// detect collisions nor report entries. Every other registered scheme is a
+// Collider and must report the entries behind its collisions — otherwise
+// interference analysis would see no conflicts for it at all.
+var tagFree = map[string]bool{"taken": true, "nottaken": true}
+
+// TestEveryColliderReportsEntries: every registered Collider is an
+// EntryReporter, and where it also introspects, each entry it reports names
+// one of its sampled tables and lies inside it.
+func TestEveryColliderReportsEntries(t *testing.T) {
+	for _, name := range Names() {
+		p := MustNew(name + ":1KB")
+		_, col := p.(Collider)
+		rep, ok := p.(EntryReporter)
+		if tagFree[name] {
+			if col || ok {
+				t.Errorf("%s tracks collisions or reports entries but is listed as tag-free — remove it", name)
+			}
+			continue
+		}
+		if !col || !ok {
+			t.Errorf("%s: Collider %v, EntryReporter %v; want both, or a tag-free listing", name, col, ok)
+			continue
+		}
+		in, introspects := p.(Introspector)
+		for i := uint64(0); i < 64; i++ {
+			pc := 0x1000 + 4*i*i
+			p.Predict(pc)
+			entries := rep.LastEntries(pc, nil)
+			if len(entries) == 0 {
+				t.Fatalf("%s reports no entries for a prediction", name)
+			}
+			if introspects {
+				tables := map[string]int{}
+				for _, s := range in.Introspect() {
+					tables[s.Name] = s.Entries
+				}
+				for _, e := range entries {
+					if n, ok := tables[e.Table]; !ok || e.Index >= uint64(n) {
+						t.Fatalf("%s: entry %+v outside its sampled tables %v", name, e, tables)
+					}
+				}
+			}
+			p.Update(pc, i%3 == 0)
+		}
+	}
+}
+
 func TestIntrospectSharingCountsSwitches(t *testing.T) {
 	p := NewBimodal(16) // 64 entries — tiny, so two sites 64 entries apart alias
 	p.EnableTableStats()

@@ -87,3 +87,9 @@ func (p *Local) EnableCollisionTracking() { p.pht.enableTags() }
 
 // LastCollision implements Collider.
 func (p *Local) LastCollision() bool { return p.collision }
+
+// LastEntries implements EntryReporter. The per-branch history table
+// carries no collision tag, so only the pattern table is reported.
+func (p *Local) LastEntries(_ uint64, dst []Entry) []Entry {
+	return append(dst, p.pht.entry("pht", p.lIdx))
+}

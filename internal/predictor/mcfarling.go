@@ -97,3 +97,9 @@ func (p *McFarling) EnableCollisionTracking() {
 
 // LastCollision implements Collider.
 func (p *McFarling) LastCollision() bool { return p.collision }
+
+// LastEntries implements EntryReporter.
+func (p *McFarling) LastEntries(_ uint64, dst []Entry) []Entry {
+	return append(dst, p.bimodal.entry("bimodal", p.lBimIdx),
+		p.gshare.entry("gshare", p.lGshIdx), p.chooser.entry("chooser", p.lChoIdx))
+}

@@ -165,3 +165,8 @@ func (p *Perceptron) EnableCollisionTracking() {
 
 // LastCollision implements Collider.
 func (p *Perceptron) LastCollision() bool { return p.collision }
+
+// LastEntries implements EntryReporter.
+func (p *Perceptron) LastEntries(_ uint64, dst []Entry) []Entry {
+	return append(dst, Entry{"weights", p.lIdx})
+}

@@ -68,6 +68,24 @@ type Collider interface {
 	LastCollision() bool
 }
 
+// Entry names one table entry a prediction read: the table (as Introspect
+// names it, where the predictor introspects) and the masked index.
+type Entry struct {
+	Table string
+	Index uint64
+}
+
+// EntryReporter is implemented by every Collider. LastEntries appends to dst
+// the entries whose collision tags the most recent Predict(pc) installed, in
+// read order — the reads behind LastCollision — and returns the extended
+// slice. It is valid until Update and needs no collision tracking. It is a
+// cold path, computed from the index state Predict leaves for Update, so
+// interference analysis attributes pairs from the predictor's own index
+// functions without a hook in any table read.
+type EntryReporter interface {
+	LastEntries(pc uint64, dst []Entry) []Entry
+}
+
 // pcIndex drops the byte-offset bits of a word-aligned branch address.
 // Workload PCs are 4-byte aligned like Alpha instructions.
 func pcIndex(pc uint64) uint64 { return pc >> 2 }

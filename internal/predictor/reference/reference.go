@@ -24,7 +24,8 @@
 //   - The static+dynamic combination: a hinted branch is predicted by its
 //     hint and neither reads nor trains the dynamic predictor. Under
 //     NoShift nothing else happens; under ShiftOutcome its outcome is still
-//     shifted into the dynamic predictor's global history.
+//     shifted into the dynamic predictor's global history, and under
+//     ShiftStatic its hint's direction is.
 package reference
 
 // Counter is a 2-bit saturating counter.
@@ -152,6 +153,7 @@ type Combined struct {
 	Dyn          Predictor
 	Hints        map[uint64]bool // hinted branch address → static direction
 	ShiftOutcome bool            // shift hinted outcomes into Dyn's history
+	ShiftHint    bool            // shift the hints' directions instead
 
 	StaticExecs, StaticMispred, DynamicExecs uint64
 }
@@ -164,8 +166,11 @@ func (c *Combined) Step(pc uint64, taken bool) (correct, collided bool) {
 		if hint != taken {
 			c.StaticMispred++
 		}
-		if c.ShiftOutcome {
+		switch {
+		case c.ShiftOutcome:
 			c.Dyn.ShiftHistory(taken)
+		case c.ShiftHint:
+			c.Dyn.ShiftHistory(hint)
 		}
 		return hint == taken, false
 	}

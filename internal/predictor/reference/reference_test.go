@@ -116,20 +116,31 @@ func TestGoldenGShare(t *testing.T) {
 //	4 Q idx 1^2=3 ctr=1 N, T: x ctr3=2 h=1   8 Q idx 1^2=3 ctr=2 T, T: . ctr3=3 h=1
 //
 // Same scores, different state: the two policies train different counters.
+//
+// ShiftStatic: P's hint, always taken, enters the history instead, so from
+// event 3 on the history is all ones and Q keeps to counter 2.
+//
+//	1 P static: .  h=1                   5 P static: .  h=3
+//	2 Q idx 1^1=0 ctr=1 N, T: x ctr0=2 h=3   6 Q idx 1^3=2 ctr=2 T, T: . ctr2=3 h=3
+//	3 P static: x  h=3                   7 P static: x  h=3
+//	4 Q idx 1^3=2 ctr=1 N, T: x ctr2=2 h=3   8 Q idx 1^3=2 ctr=3 T, T: . ctr2=3 h=3
 func TestGoldenGShareFiltered(t *testing.T) {
 	for _, tc := range []struct {
-		shift    bool
-		counters []Counter
-		history  uint64
+		shiftOutcome, shiftHint bool
+		classes                 string
+		mispredicts             uint64
+		counters                []Counter
+		history                 uint64
 	}{
-		{false, []Counter{2, 2, 3, 1}, 3},
-		{true, []Counter{2, 1, 2, 3}, 1},
+		{false, false, ".xxx.xx.", 5, []Counter{2, 2, 3, 1}, 3},
+		{true, false, ".xxx.xx.", 5, []Counter{2, 1, 2, 3}, 1},
+		{false, true, ".xxx..x.", 4, []Counter{2, 1, 3, 1}, 3},
 	} {
 		p := NewGShare(1)
-		c := &Combined{Dyn: p, Hints: map[uint64]bool{0x0: true}, ShiftOutcome: tc.shift}
+		c := &Combined{Dyn: p, Hints: map[uint64]bool{0x0: true}, ShiftOutcome: tc.shiftOutcome, ShiftHint: tc.shiftHint}
 		r := Run(c, gsharePCs, gshareTaken)
-		checkClasses(t, r, ".xxx.xx.")
-		checkTotals(t, r, Result{Branches: 8, Taken: 6, Mispredicts: 5, StaticExecs: 4, StaticMispred: 2, DynamicExecs: 4})
+		checkClasses(t, r, tc.classes)
+		checkTotals(t, r, Result{Branches: 8, Taken: 6, Mispredicts: tc.mispredicts, StaticExecs: 4, StaticMispred: 2, DynamicExecs: 4})
 		checkGShare(t, p, tc.counters, tc.history)
 	}
 }

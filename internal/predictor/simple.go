@@ -58,6 +58,12 @@ func (p *pht) EnableCollisionTracking() { p.t.enableTags() }
 // LastCollision implements Collider.
 func (p *pht) LastCollision() bool { return p.collision }
 
+// LastEntries implements EntryReporter: until Update the history has not
+// shifted, so the index recomputes.
+func (p *pht) LastEntries(pc uint64, dst []Entry) []Entry {
+	return append(dst, p.t.entry("pht", phtIndex(pc, p.pcMask, p.hist.bits)))
+}
+
 // EnableTableStats implements Introspector.
 func (p *pht) EnableTableStats() { p.t.enableStats() }
 

@@ -75,6 +75,9 @@ func (t *table) read(idx, pc uint64) (ctr uint8, collided bool) {
 	return t.ctr[idx], tagReadU(t.tags, t.switches, int(idx), pc) != 0
 }
 
+// entry names the entry read at idx, for EntryReporter.
+func (t *table) entry(name string, idx uint64) Entry { return Entry{name, idx & t.mask} }
+
 // taken reports the direction a counter value predicts.
 func taken(ctr uint8) bool { return ctr >= ctrThreshold }
 

@@ -79,6 +79,9 @@ const tageComps = 5
 // tageHistLens are the geometric history lengths of the tagged components.
 var tageHistLens = [tageComps]int{4, 8, 16, 32, 64}
 
+// tageBankNames name the tagged components after their history lengths.
+var tageBankNames = [tageComps]string{"t4", "t8", "t16", "t32", "t64"}
+
 // foldedHist is a history of histLen bits xor-folded into width bits — bit j
 // of the history lands on bit j mod width — maintained incrementally (Seznec
 // and Michaud's circular shift register): a shift rotates the folded value
@@ -407,3 +410,13 @@ func (t *TAGE) EnableCollisionTracking() {
 
 // LastCollision implements Collider.
 func (t *TAGE) LastCollision() bool { return t.collision }
+
+// LastEntries implements EntryReporter: the base, then every tagged bank,
+// each probed once per Predict.
+func (t *TAGE) LastEntries(_ uint64, dst []Entry) []Entry {
+	dst = append(dst, t.base.entry("base", t.lBaseIdx))
+	for i := range t.comps {
+		dst = append(dst, Entry{tageBankNames[i], t.lIdx[i]})
+	}
+	return dst
+}

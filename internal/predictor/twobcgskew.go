@@ -201,3 +201,9 @@ func (p *TwoBcGskew) EnableCollisionTracking() {
 
 // LastCollision implements Collider.
 func (p *TwoBcGskew) LastCollision() bool { return p.collision }
+
+// LastEntries implements EntryReporter.
+func (p *TwoBcGskew) LastEntries(_ uint64, dst []Entry) []Entry {
+	return append(dst, p.bim.entry("bim", p.lIdx[0]), p.g0.entry("g0", p.lIdx[1]),
+		p.g1.entry("g1", p.lIdx[2]), p.meta.entry("meta", p.lIdx[3]))
+}

@@ -138,3 +138,8 @@ func (p *YAGS) EnableCollisionTracking() { p.choice.enableTags() }
 
 // LastCollision implements Collider.
 func (p *YAGS) LastCollision() bool { return p.collision }
+
+// LastEntries implements EntryReporter: the choice table is the one tracked.
+func (p *YAGS) LastEntries(_ uint64, dst []Entry) []Entry {
+	return append(dst, p.choice.entry("choice", p.lChoIdx))
+}

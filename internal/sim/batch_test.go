@@ -212,7 +212,7 @@ func flagsMatch(t *testing.T, dynSpec string, hints *core.HintDB, shift core.Shi
 }
 
 // referenceFor builds the reference model of a Combined over dynSpec, or
-// nil when the reference has no such predictor or policy.
+// nil when the reference has no such predictor.
 func referenceFor(dynSpec string, hints *core.HintDB, shift core.ShiftPolicy) *reference.Combined {
 	var dyn reference.Predictor
 	switch dynSpec {
@@ -223,10 +223,8 @@ func referenceFor(dynSpec string, hints *core.HintDB, shift core.ShiftPolicy) *r
 	default:
 		return nil
 	}
-	if shift == core.ShiftStatic {
-		return nil
-	}
-	c := &reference.Combined{Dyn: dyn, Hints: map[uint64]bool{}, ShiftOutcome: shift == core.ShiftOutcome}
+	c := &reference.Combined{Dyn: dyn, Hints: map[uint64]bool{},
+		ShiftOutcome: shift == core.ShiftOutcome, ShiftHint: shift == core.ShiftStatic}
 	if hints != nil {
 		for _, h := range hints.Hints() {
 			c.Hints[h.PC] = h.Taken
@@ -372,6 +370,7 @@ func FuzzBatchVsScalar(f *testing.F) {
 	f.Add(valid, uint8(3), uint8(2), uint8(2), uint8(1))
 	f.Add(valid, uint8(9), uint8(7), uint8(3), uint8(2))
 	f.Add(valid, uint8(1), uint8(0), uint8(6), uint8(1))
+	f.Add(valid, uint8(5), uint8(2), uint8(5), uint8(2)) // gshare, ShiftStatic: against the reference
 	f.Add([]byte{}, uint8(1), uint8(1), uint8(0), uint8(0))
 	f.Add([]byte{0: 0}, uint8(3), uint8(2), uint8(0), uint8(0))                   // ops record missing count
 	f.Add(bytes.Repeat([]byte{0x80}, 12), uint8(2), uint8(4), uint8(0), uint8(0)) // unterminated varint

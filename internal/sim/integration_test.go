@@ -156,3 +156,32 @@ func TestLiRunsAreDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestGShareWithoutHistoryIsBimodal is a metamorphic law from the
+// definitions: a gshare that keeps no history indexes by address alone, so
+// it is the bimodal of the same size, metric for metric and collision for
+// collision, on every workload.
+func TestGShareWithoutHistoryIsBimodal(t *testing.T) {
+	run := func(spec, wl string) sim.Metrics {
+		r := sim.NewRunner(predictor.MustNew(spec), sim.WithCollisions(), sim.WithLabels(wl, workload.InputTest))
+		if err := workload.Run(context.Background(), wl, workload.InputTest, r); err != nil {
+			t.Fatal(err)
+		}
+		return r.Metrics()
+	}
+	var collisions uint64
+	for _, wl := range workload.Names() {
+		for _, size := range []string{"256B", "1KB"} {
+			bimodal := run("bimodal:"+size, wl)
+			gshare := run("gshare:"+size+":h=0", wl)
+			gshare.Predictor = bimodal.Predictor
+			if d := bimodal.Diff(gshare); d != "" {
+				t.Errorf("%s at %s: gshare h=0 differs from bimodal: %s", wl, size, d)
+			}
+			collisions += bimodal.Collisions.Total
+		}
+	}
+	if collisions == 0 {
+		t.Error("no run collided, so the law says nothing about collisions")
+	}
+}
