@@ -161,8 +161,9 @@ func (h *Harness) feed(ctx context.Context, span *obs.Span, wl, input string, ne
 	}
 	capKey := "cap|" + replay.Key(prog.Name(), input)
 	produce := func(r trace.Recorder) error {
-		// produce runs only in the capturing arm's goroutine: this arm is
-		// the one recording the shared stream.
+		// produce runs only on the capture goroutine this arm starts when
+		// it is elected to record the shared stream, so the note names
+		// this arm's span.
 		h.obs.NoteSpanKey(capKey, span.Context())
 		return workload.RunProgram(ctx, prog, input, r)
 	}

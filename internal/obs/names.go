@@ -27,9 +27,10 @@ const (
 	MReplayChunksCaptured = "replay.chunks_captured"
 	// MReplayChunksSpilled counts sealed chunks that went to the spill file.
 	MReplayChunksSpilled = "replay.chunks_spilled"
-	// MReplayChunksReplayed counts chunks fed to replaying arms, whether
-	// decoded from their encoded bytes or fed from their in-memory decoded
-	// arrays (MReplayChunkDecode times only the former).
+	// MReplayChunksReplayed counts chunks fed to arms replaying another
+	// arm's capture, whether decoded from their encoded bytes or fed from
+	// their in-memory decoded arrays (MReplayChunkDecode times only the
+	// former). The capturing arm's own replay is not counted.
 	MReplayChunksReplayed = "replay.chunks_replayed"
 	// MReplayChunksQuarantined counts chunks that failed checksum
 	// verification and were quarantined aside instead of replayed.
@@ -143,6 +144,11 @@ const (
 	// MReplayChunkDecode (histogram) is per-chunk decode latency on the
 	// replay path.
 	MReplayChunkDecode = "replay.chunk_decode"
+	// MReplayCapture (histogram) is the wall time of each successful
+	// capture, from the start of the instrumented workload to its final
+	// chunk seal: execution, recording and sealing, with no arm's
+	// simulation in it. Live only; no journal record carries it.
+	MReplayCapture = "replay.capture"
 
 	// MBusSSELag (histogram) is per-frame SSE delivery time (serialize +
 	// flush to the client connection).
@@ -279,6 +285,7 @@ var registeredNames = []RegisteredName{
 	{MPhaseCheckpoint, KindHistogram},
 	{MPhaseSeal, KindHistogram},
 	{MReplayChunkDecode, KindHistogram},
+	{MReplayCapture, KindHistogram},
 	{MBusSSELag, KindHistogram},
 	{MTraceSpans, KindCounter},
 	{MBusPublished, KindCounter},

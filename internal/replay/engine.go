@@ -15,10 +15,10 @@ import (
 )
 
 // Engine shares captured traces between arms. Concurrent requests for the
-// same key elect one capturer — everyone else replays its chunks as they
-// seal — and a bounded worker pool caps concurrent replay decodes. Traces
-// stay cached for the engine's lifetime (a sweep); Close releases them and
-// deletes any spill files.
+// same key elect one capturer, which starts the capture on its own
+// goroutine; every arm replays the chunks as they seal, and a bounded
+// worker pool caps the other arms' replays. Traces stay cached for the
+// engine's lifetime (a sweep); Close releases them and deletes spill files.
 type Engine struct {
 	workers  int
 	budget   int64
@@ -45,6 +45,7 @@ type Engine struct {
 	obsMem               *obs.Gauge
 	obsWaiting           *obs.Gauge
 	obsChunkDecode       *obs.Histogram
+	obsCapture           *obs.Histogram
 
 	mu     sync.Mutex
 	traces map[string]*Trace
@@ -111,9 +112,10 @@ func (e *Engine) logef(format string, args ...any) {
 // SetObserver publishes the engine's cache efficiency to o's registry:
 // captures vs replays (obs.MReplayCaptures / obs.MReplayReplays, counting
 // successful stream feeds), chunk flow (obs.MReplayChunksCaptured /
-// ...Spilled / ...Replayed), in-memory occupancy (obs.MReplayMemBytes) and
-// worker-pool queue depth (obs.MReplayPoolWaiting). Call it once, before
-// the engine feeds arms; a nil observer leaves the engine unobserved.
+// ...Spilled / ...Replayed), in-memory occupancy (obs.MReplayMemBytes),
+// pool queue depth (obs.MReplayPoolWaiting) and timings (obs.MReplayCapture,
+// ...ChunkDecode). Call it once, before the engine feeds arms; a nil
+// observer leaves the engine unobserved.
 func (e *Engine) SetObserver(o *obs.Observer) {
 	if o == nil {
 		return
@@ -128,6 +130,7 @@ func (e *Engine) SetObserver(o *obs.Observer) {
 	e.obsMem = o.Gauge(obs.MReplayMemBytes)
 	e.obsWaiting = o.Gauge(obs.MReplayPoolWaiting)
 	e.obsChunkDecode = o.Histogram(obs.MReplayChunkDecode)
+	e.obsCapture = o.Histogram(obs.MReplayCapture)
 }
 
 // Key names the shared capture of one (workload, input) pair, so every
@@ -148,8 +151,7 @@ func (e *Engine) acquire(key string) (*Trace, bool, error) {
 	if t, ok := e.traces[key]; ok {
 		return t, false, nil
 	}
-	t := newTrace(e)
-	t.key = key
+	t := newTrace(e, key)
 	e.traces[key] = t
 	return t, true, nil
 }
@@ -238,10 +240,10 @@ func (s Source) String() string {
 	}
 }
 
-// Run feeds one arm with the branch stream of key: the first caller
-// executes produce (the instrumented workload) while feeding the stream
-// to its own recorder and the shared chunk buffer; every other caller
-// replays the buffer, overlapping the capture. newRec must build a fresh
+// Run feeds one arm with the branch stream of key: the first caller runs
+// produce (the instrumented workload) into the shared chunk buffer on a
+// goroutine of its own, and every caller, that one included, replays the
+// buffer, overlapping the capture. newRec must build a fresh
 // recorder on every call — when a shared capture fails, surviving arms
 // rebuild and replay the recapture from the start, so a recorder must
 // never carry state across attempts. Run returns the stream totals and
@@ -255,7 +257,10 @@ func (e *Engine) Run(ctx context.Context, key string, produce func(trace.Recorde
 // RunSourced is Run, additionally reporting whether this arm captured the
 // stream or replayed a shared capture — the provenance the run journal
 // records per arm. When a failed capture forces a restart, the source of
-// the final attempt is reported.
+// the final attempt is reported. The capturing arm replays outside the
+// worker pool; a failed capture is its error (a panic in produce a
+// *workload.PanicError), while its own recorder's panic leaves the capture
+// running for the other arms.
 func (e *Engine) RunSourced(ctx context.Context, key string, produce func(trace.Recorder) error, newRec func() (trace.Recorder, error)) (trace.Counts, Source, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -269,27 +274,25 @@ func (e *Engine) RunSourced(ctx context.Context, key string, produce func(trace.
 		if err != nil {
 			return trace.Counts{}, SourceReplay, err
 		}
+		var c trace.Counts
+		src, fed := SourceReplay, e.obsReplays
 		if capturer {
-			// The arm is fed each chunk's decoded arrays as the chunk
-			// seals: the instrumented execution pays only array appends
-			// and the arm runs block-wise. Provenance stays SourceCapture:
-			// this arm executed the workload.
-			c, err := t.capture(produce, rec)
-			if err == nil {
-				e.obsCaptures.Add(1)
-			}
-			return c, SourceCapture, err
+			src, fed = SourceCapture, e.obsCaptures
+			captured := make(chan error, 1)
+			go func() { captured <- t.capture(produce) }()
+			c, err = t.replay(ctx, rec, captured)
+		} else {
+			c, err = t.Replay(ctx, rec)
 		}
-		c, err := t.Replay(ctx, rec)
-		if err != nil && errors.Is(err, ErrCaptureFailed) {
-			// The capturer died. Rebuild the arm (the recorder saw a
-			// partial stream) and recapture; one of the waiters becomes
-			// the new capturer and reports the definitive error.
+		if errors.Is(err, ErrCaptureFailed) {
+			// The capture died, or a replay found a corrupt chunk. Rebuild
+			// the arm (the recorder saw a partial stream) and recapture; one
+			// arm becomes the new capturer and reports the definitive error.
 			continue
 		}
 		if err == nil {
-			e.obsReplays.Add(1)
+			fed.Add(1)
 		}
-		return c, SourceReplay, err
+		return c, src, err
 	}
 }

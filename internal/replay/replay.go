@@ -5,10 +5,10 @@
 // paper's grid the workload cost is pure replication. This package records
 // a workload's branch stream once — into chunks of decoded parallel arrays
 // (PC, outcome, preceding straight-line run) ready for the block kernels —
-// and feeds any number of predictor arms from that buffer. Chunks are
-// published as they are sealed, so arms replay concurrently *with* the
-// capture, not after it; a bounded worker pool caps how many replays run at
-// once.
+// and feeds any number of predictor arms from that buffer. The capture runs
+// on its own goroutine and publishes chunks as they seal, so every arm —
+// the one that started it too — replays concurrently *with* the capture,
+// not after it; a bounded worker pool caps the other arms' replays.
 //
 // Memory is bounded: the engine's budget counts every in-memory chunk byte.
 // A chunk is encoded into compact, self-contained records (delta-encoded
@@ -32,7 +32,7 @@
 //
 // The resilience semantics of the experiment pipeline are preserved: every
 // capture and replay runs under the caller's context, a panicking arm fails
-// alone (a panic during capture fails the trace, waiting arms rebuild their
+// alone (a failed capture fails the trace; waiting arms rebuild their
 // recorders and recapture), and cancellation drains cleanly.
 package replay
 
@@ -42,12 +42,14 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"time"
 
 	"branchsim/internal/fsx"
 	"branchsim/internal/trace"
+	"branchsim/internal/workload"
 )
 
 // chunkEvents is how many branches one chunk holds: the capture seals a
@@ -140,8 +142,9 @@ type Trace struct {
 	quarantined bool // a corrupt chunk was found; preserve the spill file
 }
 
-func newTrace(e *Engine) *Trace {
-	return &Trace{e: e, notify: make(chan struct{})}
+// newTrace returns the trace of key, about to be captured.
+func newTrace(e *Engine, key string) *Trace {
+	return &Trace{e: e, key: key, notify: make(chan struct{}), capturing: true}
 }
 
 // broadcastLocked wakes every goroutine waiting for a state change.
@@ -152,17 +155,16 @@ func (t *Trace) broadcastLocked() {
 
 // captureRec is the Recorder the capture drives: it appends every event
 // straight to the open chunk's decoded arrays and seals the chunk each
-// chunkEvents branches. Each sealed chunk is then fed to the capturing arm.
+// chunkEvents branches. It feeds no arm: every arm replays the chunks.
 type captureRec struct {
 	t       *Trace
-	counts  trace.Counts    // totals of the chunks sealed so far
-	sink    trace.BlockSink // the capturing arm
-	dec     decoded         // the open chunk
-	pending uint64          // straight-line run awaiting its branch
+	counts  trace.Counts // totals of the chunks sealed so far
+	dec     decoded      // the open chunk
+	pending uint64       // straight-line run awaiting its branch
 }
 
-func newCaptureRec(t *Trace, sink trace.BlockSink) *captureRec {
-	c := &captureRec{t: t, sink: sink}
+func newCaptureRec(t *Trace) *captureRec {
+	c := &captureRec{t: t}
 	c.open()
 	return c
 }
@@ -193,13 +195,11 @@ func (c *captureRec) Branch(pc uint64, taken bool) {
 // Ops implements trace.Recorder.
 func (c *captureRec) Ops(n uint64) { c.pending += n }
 
-// cut seals the full open chunk and opens the next; the sealed chunk then
-// goes to the capturing arm.
+// cut seals the full open chunk and opens the next.
 func (c *captureRec) cut() {
 	d := c.take()
 	c.open()
 	c.t.seal(d)
-	d.feed(c.sink)
 }
 
 // take detaches the open chunk, stamped with the trailing straight-line run,
@@ -293,10 +293,7 @@ func (t *Trace) writeSpill(data []byte, crc uint32) (int64, error) {
 	return off, nil
 }
 
-// finish seals the final chunk and marks the capture complete. The final
-// chunk reaches the capturing arm only after the trace is published
-// complete, so a panic there (e.g. cooperative cancellation) fails that arm
-// alone, not the shared capture.
+// finish seals the final chunk and marks the capture complete.
 func (t *Trace) finish(cr *captureRec) {
 	d := cr.take()
 	// The last chunk is partial: copy it out of its full-size arrays.
@@ -308,7 +305,6 @@ func (t *Trace) finish(cr *captureRec) {
 	t.captureEndedLocked()
 	t.broadcastLocked()
 	t.mu.Unlock()
-	d.feed(cr.sink)
 }
 
 // fail marks the capture failed, wakes every waiter with the wrapped cause,
@@ -381,29 +377,26 @@ func (t *Trace) quarantine(i int, data []byte, crc uint32, cause error) {
 	}
 }
 
-// capture runs produce once, recording its stream into sealed chunks and
-// feeding each chunk's decoded arrays to the capturing arm's own recorder
-// as the chunk seals, so the capturer simulates while it records. On any
-// failure, including a panic unwinding through produce, the trace is
-// failed first so no waiter hangs.
-func (t *Trace) capture(produce func(trace.Recorder) error, rec trace.Recorder) (c trace.Counts, err error) {
-	cr := newCaptureRec(t, trace.Blocks(rec))
-	t.mu.Lock()
-	t.capturing = true
-	t.mu.Unlock()
+// capture runs produce once, recording its stream into sealed chunks that
+// every arm replays, and times a successful capture from the start of
+// produce to the final seal. On any failure the trace is failed first, so
+// no waiter hangs; a panic in produce is returned as a *workload.PanicError
+// with the panic-site stack.
+func (t *Trace) capture(produce func(trace.Recorder) error) (err error) {
+	cr := newCaptureRec(t)
+	t0 := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			t.fail(fmt.Errorf("capture panicked: %v", r))
-			panic(r)
+			err = &workload.PanicError{Value: r, Stack: debug.Stack()}
 		}
 		if err != nil {
 			t.fail(err)
 			return
 		}
 		t.finish(cr)
-		c = cr.counts
+		t.e.obsCapture.Observe(time.Since(t0))
 	}()
-	return trace.Counts{}, produce(cr)
+	return produce(cr)
 }
 
 // retain registers a replay cursor; the spill file stays alive until every
@@ -522,11 +515,26 @@ func (t *Trace) Counts() trace.Counts {
 // (cooperative cancellation, e.g. a sim.Runner built WithContext) is
 // recovered and returned as its error; other panics propagate to the
 // caller's guard.
-func (t *Trace) Replay(ctx context.Context, rec trace.Recorder) (c trace.Counts, err error) {
+func (t *Trace) Replay(ctx context.Context, rec trace.Recorder) (trace.Counts, error) {
 	if err := t.e.acquireSlot(ctx); err != nil {
 		return trace.Counts{}, err
 	}
 	defer t.e.releaseSlot()
+	return t.replay(ctx, rec, nil)
+}
+
+// replay is Replay without the worker slot. The capturing arm passes the
+// channel its capture goroutine reports on: replay joins that goroutine
+// before it returns or unwinds, a failed capture's error comes first, and
+// the arm's chunks are not counted replayed.
+func (t *Trace) replay(ctx context.Context, rec trace.Recorder, captured <-chan error) (c trace.Counts, err error) {
+	if captured != nil {
+		defer func() {
+			if cerr := <-captured; cerr != nil {
+				c, err = trace.Counts{}, cerr
+			}
+		}()
+	}
 	t.retain()
 	defer t.release()
 	defer func() {
@@ -575,7 +583,9 @@ func (t *Trace) Replay(ctx context.Context, rec trace.Recorder) (c trace.Counts,
 			}
 			t.e.obsChunkDecode.Observe(time.Since(d0))
 		}
-		t.e.obsChunksReplayed.Add(1)
+		if captured == nil {
+			t.e.obsChunksReplayed.Add(1)
+		}
 		// A chunk holds at most chunkEvents branches, the simulator's own
 		// cancellation cadence — checking here keeps a recorder without its
 		// own context responsive to the caller's.

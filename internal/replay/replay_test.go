@@ -18,6 +18,7 @@ import (
 	"branchsim/internal/experiment"
 	"branchsim/internal/faults"
 	"branchsim/internal/fsx"
+	"branchsim/internal/obs"
 	"branchsim/internal/predictor"
 	"branchsim/internal/replay"
 	"branchsim/internal/sim"
@@ -471,6 +472,174 @@ func TestPanicArmFailsAlone(t *testing.T) {
 		if d := direct[i].Diff(got); d != "" {
 			t.Errorf("%s: metrics diverge after sibling panic: %s", res.Label, d)
 		}
+	}
+}
+
+// gatedRec feeds a runner, and the first block the engine hands it waits
+// until gate closes. It fails the test if that takes 10 s.
+type gatedRec struct {
+	t       *testing.T
+	r       *sim.Runner
+	gate    <-chan struct{}
+	entered bool
+}
+
+func (g *gatedRec) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
+	if !g.entered {
+		g.entered = true
+		select {
+		case <-g.gate:
+		case <-time.After(10 * time.Second):
+			g.t.Error("the capturing arm's first block waited 10 s for the workload to return")
+		}
+	}
+	g.r.RunBlock(pcs, taken, ops)
+}
+
+func (g *gatedRec) Branch(pc uint64, taken bool) { g.r.Branch(pc, taken) }
+func (g *gatedRec) Ops(n uint64)                 { g.r.Ops(n) }
+
+// TestCaptureRunsAheadOfCapturingArm holds the capturing arm's first block
+// until the workload has returned. The capture must not wait for the arm
+// that started it: it runs on its own goroutine, and the arm replays the
+// finished stream to the same counts and metrics as a direct run. The arm
+// counts as one capture, its chunks are not counted as replayed, and the
+// capture is timed once.
+func TestCaptureRunsAheadOfCapturingArm(t *testing.T) {
+	ctx := context.Background()
+	const wl, input, spec = "synth", workload.InputTest, "gshare:8KB"
+	direct := newArmRunner(t, spec, wl, input)
+	if err := workload.Run(ctx, wl, input, direct); err != nil {
+		t.Fatal(err)
+	}
+	want := direct.Metrics()
+	if want.Counts.Branches <= 16<<10 {
+		t.Fatalf("%s/%s has %d branches; the test needs more than one chunk", wl, input, want.Counts.Branches)
+	}
+	prog, err := workload.Get(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	produced := make(chan struct{})
+	produce := func(rec trace.Recorder) error {
+		defer close(produced)
+		return workload.RunProgram(ctx, prog, input, rec)
+	}
+
+	e := replay.New(2, 0, "")
+	defer e.Close()
+	sink := obs.New()
+	e.SetObserver(sink)
+	var r *sim.Runner
+	c, src, err := e.RunSourced(ctx, replay.Key(wl, input), produce, func() (trace.Recorder, error) {
+		r = newArmRunner(t, spec, wl, input)
+		return &gatedRec{t: t, r: r, gate: produced}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src != replay.SourceCapture {
+		t.Errorf("source %v, want %v", src, replay.SourceCapture)
+	}
+	if c != want.Counts {
+		t.Errorf("stream counts %+v, want %+v", c, want.Counts)
+	}
+	if d := want.Diff(r.Metrics()); d != "" {
+		t.Errorf("capturing arm's metrics diverge from a direct run: %s", d)
+	}
+	for name, want := range map[string]int64{
+		obs.MReplayCaptures:       1,
+		obs.MReplayReplays:        0,
+		obs.MReplayChunksReplayed: 0,
+	} {
+		if n := int64(sink.Counter(name).Value()); n != want {
+			t.Errorf("%s = %d, want %d", name, n, want)
+		}
+	}
+	if n := sink.Histogram(obs.MReplayCapture).Count(); n != 1 {
+		t.Errorf("%s observed %d times, want 1", obs.MReplayCapture, n)
+	}
+}
+
+// TestCapturingArmPanicKeepsCapture makes the capturing arm's predictor
+// panic at event 1000. That arm fails alone with its own PanicError; the
+// capture it started runs on, so the other arms match direct runs and the
+// workload executes exactly once.
+func TestCapturingArmPanicKeepsCapture(t *testing.T) {
+	ctx := context.Background()
+	const wl, input = "synth", workload.InputTest
+	specs := []string{"gshare:8KB", "2bcgskew:8KB"}
+	direct := make([]sim.Metrics, len(specs))
+	for i, spec := range specs {
+		r := newArmRunner(t, spec, wl, input)
+		if err := workload.Run(ctx, wl, input, r); err != nil {
+			t.Fatal(err)
+		}
+		direct[i] = r.Metrics()
+	}
+	prog, err := workload.Get(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32
+	started := make(chan struct{})
+	produce := func(rec trace.Recorder) error {
+		if calls.Add(1) == 1 {
+			close(started)
+		}
+		return workload.RunProgram(ctx, prog, input, rec)
+	}
+
+	e := replay.New(4, 0, "")
+	defer e.Close()
+	key := replay.Key(wl, input)
+	faulty := make(chan error, 1)
+	go func() {
+		_, err := runGuarded(ctx, e, key, produce, func() (trace.Recorder, error) {
+			inner, err := predictor.New("gshare:8KB")
+			if err != nil {
+				return nil, err
+			}
+			return sim.NewRunner(&faults.Predictor{Inner: inner, Plan: faults.NewPlan(faults.Fault{
+				At: 1000, Kind: faults.KindPanic, Msg: "injected predictor bug",
+			})}), nil
+		})
+		faulty <- err
+	}()
+	<-started // the faulty arm is the capturer
+
+	runners := make([]*sim.Runner, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func(i int, spec string) {
+			defer wg.Done()
+			_, errs[i] = runGuarded(ctx, e, key, produce, func() (trace.Recorder, error) {
+				runners[i] = newArmRunner(t, spec, wl, input)
+				return runners[i], nil
+			})
+		}(i, spec)
+	}
+	wg.Wait()
+
+	var pe *workload.PanicError
+	if err := <-faulty; !errors.As(err, &pe) || pe.Value != "injected predictor bug" {
+		t.Errorf("capturing arm: error %v, want its own *workload.PanicError", err)
+	} else if !strings.Contains(string(pe.Stack), "Predict") {
+		t.Errorf("capturing arm's panic stack does not name the predictor:\n%s", pe.Stack)
+	}
+	for i, spec := range specs {
+		if errs[i] != nil {
+			t.Errorf("%s: healthy arm failed: %v", spec, errs[i])
+			continue
+		}
+		if d := direct[i].Diff(runners[i].Metrics()); d != "" {
+			t.Errorf("%s: metrics diverge after the capturing arm's panic: %s", spec, d)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("workload executed %d times, want 1", n)
 	}
 }
 
